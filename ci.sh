@@ -45,13 +45,16 @@ cargo build --workspace --release
 echo "==> cargo test --workspace"
 cargo test --workspace -q
 
+echo "==> no-alloc proof on a single test thread (the run above uses N)"
+cargo test -q -p megh-core --test no_alloc -- --test-threads=1
+
 echo "==> cargo test --workspace --features check-invariants"
 cargo test --workspace --features check-invariants -q
 
 echo "==> sweep determinism under check-invariants"
 cargo test -q -p megh-cli --features megh-core/check-invariants sweep_determinism
 
-echo "==> streaming determinism (chunk-size / sim-thread invariance)"
+echo "==> streaming determinism (chunk-size invariance)"
 cargo test -q -p megh-sim streaming_
 cargo test -q -p megh-cli stream_
 

@@ -26,17 +26,7 @@ use std::path::PathBuf;
 use std::process::Command;
 
 use megh_bench::{BenchResult, BenchSnapshot};
-
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = q * (sorted.len() - 1) as f64;
-    let lo = rank.floor() as usize;
-    let hi = rank.ceil() as usize;
-    let frac = rank - lo as f64;
-    sorted[lo] + (sorted[hi] - sorted[lo]) * frac
-}
+use megh_linalg::{median, quantile};
 
 /// Aggregates one probe's repetition medians into a snapshot row.
 /// Every latency field is a between-run statistic over the repetition
@@ -55,15 +45,15 @@ fn between_runs(id: &str, reps: &[&BenchResult]) -> Result<BenchResult, String> 
     Ok(BenchResult {
         id: id.to_string(),
         mean_ns: medians.iter().sum::<f64>() / medians.len() as f64,
-        median_ns: percentile(&medians, 0.50),
+        median_ns: median(&medians),
         min_ns: medians[0],
         max_ns: medians[medians.len() - 1],
         samples: reps.iter().map(|r| r.samples).sum(),
         allocs,
         p99_ns: None,
         throughput_per_sec: None,
-        p25_ns: Some(percentile(&medians, 0.25)),
-        p75_ns: Some(percentile(&medians, 0.75)),
+        p25_ns: Some(quantile(&medians, 0.25)),
+        p75_ns: Some(quantile(&medians, 0.75)),
     })
 }
 

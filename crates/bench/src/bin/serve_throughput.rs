@@ -29,15 +29,8 @@ use std::time::Instant;
 
 use megh_bench::{BenchResult, BenchSnapshot};
 use megh_core::MeghConfig;
+use megh_linalg::{median, quantile};
 use megh_serve::{Client, Listen, Request, Response, ServeOptions, Server};
-
-fn percentile(sorted_ns: &[f64], p: f64) -> f64 {
-    if sorted_ns.is_empty() {
-        return f64::NAN;
-    }
-    let idx = ((sorted_ns.len() as f64 - 1.0) * p).round() as usize;
-    sorted_ns[idx.min(sorted_ns.len() - 1)]
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -138,7 +131,7 @@ fn main() {
     samples_ns.sort_by(f64::total_cmp);
     let total = samples_ns.len();
     let mean_ns = samples_ns.iter().sum::<f64>() / total as f64;
-    let p99_ns = percentile(&samples_ns, 0.99);
+    let p99_ns = quantile(&samples_ns, 0.99);
     let per_decision_ns = wall_s * 1e9 / total as f64;
     let decisions_per_sec = total as f64 / wall_s;
 
@@ -146,15 +139,15 @@ fn main() {
         BenchResult {
             id: format!("serve/decide_p99_under_load/{clients}c"),
             mean_ns,
-            median_ns: percentile(&samples_ns, 0.50),
+            median_ns: median(&samples_ns),
             min_ns: samples_ns[0],
             max_ns: samples_ns[total - 1],
             samples: total,
             allocs: None,
             p99_ns: Some(p99_ns),
             throughput_per_sec: None,
-            p25_ns: Some(percentile(&samples_ns, 0.25)),
-            p75_ns: Some(percentile(&samples_ns, 0.75)),
+            p25_ns: Some(quantile(&samples_ns, 0.25)),
+            p75_ns: Some(quantile(&samples_ns, 0.75)),
         },
         BenchResult {
             id: format!("serve/decide_sustained/{clients}c"),
@@ -194,7 +187,7 @@ fn main() {
     );
     println!(
         "  latency:   median {:.0} ns, mean {mean_ns:.0} ns, p99 {p99_ns:.0} ns",
-        percentile(&samples_ns, 0.50)
+        median(&samples_ns)
     );
     println!("  series:    {out} ({} snapshot(s))", series.len());
 }

@@ -1,25 +1,21 @@
-//! `sim_step` — per-step wall-clock of the streaming simulation engine,
-//! sequential vs parallel per-step accounting.
+//! `sim_step` — per-step wall-clock of the streaming simulation engine.
 //!
 //! Usage:
 //!   cargo run --release -p megh-bench --bin sim_step \
 //!       [--snapshot LABEL] [--out FILE] [--hosts N] [--vms N] \
-//!       [--days N] [--threads N] [--reps N]
+//!       [--days N] [--reps N]
 //!
-//! Runs the same NoOp workload `--reps` times with `sim_threads = 1`
-//! and `sim_threads = --threads`, records wall-clock nanoseconds per
-//! simulated step for each repetition, and appends a
+//! Runs the same NoOp workload `--reps` times, records wall-clock
+//! nanoseconds per simulated step for each repetition, and appends a
 //! `{snapshot, results}` entry to `FILE` (default `BENCH_sim_step.json`,
 //! repo root) in the series schema `bench-diff` reads; re-running with
 //! an existing label replaces that snapshot.
 //!
 //! Every run's outcome fingerprint is asserted identical — the probe
-//! doubles as a determinism check: thread count must never change the
-//! simulated bytes, only the wall-clock.
+//! doubles as a determinism check: repetitions may differ only in
+//! wall-clock, never in the simulated bytes.
 //!
-//! Probes recorded:
-//! - `sim/step_wall/1t` — ns per step, sequential accounting;
-//! - `sim/step_wall/<N>t` — ns per step with N per-step workers.
+//! Probe recorded: `sim/step_wall/1t` — ns per step.
 //!
 //! Like every latency probe these numbers are advisory in `bench-diff`;
 //! only the snapshot shape is a gate.
@@ -28,16 +24,9 @@ use std::time::Instant;
 
 use megh_bench::{BenchResult, BenchSnapshot};
 use megh_flags::{EnvArgs, FlagSource as _};
-use megh_sim::{DataCenterConfig, InitialPlacement, NoOpScheduler, SimOptions, Simulation};
+use megh_linalg::{median, quantile};
+use megh_sim::{DataCenterConfig, InitialPlacement, NoOpScheduler, Simulation};
 use megh_trace::PlanetLabConfig;
-
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return f64::NAN;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
 
 fn probe(id: String, mut samples_ns: Vec<f64>) -> BenchResult {
     samples_ns.sort_by(f64::total_cmp);
@@ -45,15 +34,15 @@ fn probe(id: String, mut samples_ns: Vec<f64>) -> BenchResult {
     BenchResult {
         id,
         mean_ns: samples_ns.iter().sum::<f64>() / n as f64,
-        median_ns: percentile(&samples_ns, 0.50),
+        median_ns: median(&samples_ns),
         min_ns: samples_ns[0],
         max_ns: samples_ns[n - 1],
         samples: n,
         allocs: None,
         p99_ns: None,
         throughput_per_sec: None,
-        p25_ns: Some(percentile(&samples_ns, 0.25)),
-        p75_ns: Some(percentile(&samples_ns, 0.75)),
+        p25_ns: Some(quantile(&samples_ns, 0.25)),
+        p75_ns: Some(quantile(&samples_ns, 0.75)),
     }
 }
 
@@ -67,7 +56,6 @@ fn main() {
     let hosts = args.lenient_usize("hosts", 40);
     let vms = args.lenient_usize("vms", 80);
     let days = args.lenient_usize("days", 2);
-    let threads = args.lenient_usize("threads", 4);
     let reps = args.lenient_usize("reps", 5);
 
     let mut config = DataCenterConfig::paper_planetlab(hosts, vms);
@@ -76,37 +64,24 @@ fn main() {
     let steps = trace.n_steps();
     let sim = Simulation::new(config, trace).expect("valid setup");
 
-    let mut results = Vec::new();
+    let mut samples_ns = Vec::with_capacity(reps);
     let mut fingerprint: Option<String> = None;
-    for sim_threads in [1, threads] {
-        let sim = sim.clone().with_options(SimOptions {
-            sim_threads,
-            ..SimOptions::default()
-        });
-        let mut samples_ns = Vec::with_capacity(reps);
-        for _ in 0..reps {
-            let started = Instant::now();
-            let outcome = sim.run(NoOpScheduler);
-            samples_ns.push(started.elapsed().as_nanos() as f64 / steps as f64);
-            let fp = outcome.fingerprint();
-            match &fingerprint {
-                None => fingerprint = Some(fp),
-                Some(base) => {
-                    assert_eq!(base, &fp, "outcome changed with sim_threads={sim_threads}")
-                }
-            }
-        }
-        println!(
-            "sim_step [{label}]: {sim_threads} thread(s): median {:.0} ns/step \
-             over {reps} rep(s) of {steps} steps ({hosts} hosts, {vms} VMs)",
-            probe(String::new(), samples_ns.clone()).median_ns
-        );
-        results.push(probe(format!("sim/step_wall/{sim_threads}t"), samples_ns));
-        if threads == 1 {
-            // Both entries would carry the same id; one suffices.
-            break;
+    for _ in 0..reps {
+        let started = Instant::now();
+        let outcome = sim.run(NoOpScheduler);
+        samples_ns.push(started.elapsed().as_nanos() as f64 / steps as f64);
+        let fp = outcome.fingerprint();
+        match &fingerprint {
+            None => fingerprint = Some(fp),
+            Some(base) => assert_eq!(base, &fp, "outcome changed between repetitions"),
         }
     }
+    println!(
+        "sim_step [{label}]: median {:.0} ns/step \
+         over {reps} rep(s) of {steps} steps ({hosts} hosts, {vms} VMs)",
+        median(&samples_ns)
+    );
+    let results = vec![probe("sim/step_wall/1t".to_string(), samples_ns)];
 
     // Replace-or-append into the tracked series.
     let mut series: Vec<BenchSnapshot> = std::fs::read_to_string(&out)

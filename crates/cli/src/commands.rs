@@ -2,7 +2,7 @@
 
 use megh_baselines::{MadVmConfig, MadVmScheduler, MmtFlavor, MmtScheduler};
 use megh_core::diagnostics::{decision_latency, LatencyStats};
-use megh_core::{HierMegh, MeghAgent, MeghConfig, PeriodicMeghAgent};
+use megh_core::{MeghAgent, MeghConfig, PeriodicMeghAgent};
 use megh_flags::{FlagSpec, FlagTable};
 use megh_serve::{Client as ServeClient, Listen, Request as ServeRequest, ServeOptions};
 use megh_sim::{
@@ -20,10 +20,8 @@ use crate::args::{Args, ArgsError};
 /// Workload families the CLI accepts.
 pub const WORKLOAD_NAMES: [&str; 3] = ["planetlab", "google", "diurnal"];
 
-/// Scheduler names accepted by `--scheduler` (plus `megh-p<N>` and
-/// `hier<N>`).
-const SCHEDULER_HELP: &str =
-    "megh|megh-p<N>|hier|hier<N>|thr-mmt|iqr-mmt|mad-mmt|lr-mmt|lrr-mmt|madvm|noop";
+/// Scheduler names accepted by `--scheduler` (plus `megh-p<N>`).
+const SCHEDULER_HELP: &str = "megh|megh-p<N>|thr-mmt|iqr-mmt|mad-mmt|lr-mmt|lrr-mmt|madvm|noop";
 
 /// Options shared by every simulation-running subcommand. Each table
 /// below is the single declaration of its flags: the typed getters and
@@ -59,12 +57,6 @@ const ENGINE_FLAGS: FlagTable = FlagTable::new(
             "N",
             "288",
             "trace steps resident in memory per chunk",
-        ),
-        FlagSpec::opt(
-            "sim-threads",
-            "N",
-            "1",
-            "worker threads for per-step accounting",
         ),
         FlagSpec::opt(
             "progress-every",
@@ -160,12 +152,6 @@ const SERVE_FLAGS: FlagTable = FlagTable::new(
         FlagSpec::opt("writer-seed", "N", "", "writer-thread RNG seed"),
         FlagSpec::opt("vms", "N", "40", "cold-start action space: VMs"),
         FlagSpec::opt("hosts", "N", "20", "cold-start action space: hosts"),
-        FlagSpec::opt(
-            "shards",
-            "N",
-            "1",
-            "hierarchical decide: serve each decide from the shard its seed hashes to (1 = flat)",
-        ),
     ],
 );
 
@@ -320,12 +306,6 @@ pub fn build_named_scheduler(
         "lrr-mmt" => Box::new(MmtScheduler::new(MmtFlavor::Lrr)),
         "madvm" => Box::new(MadVmScheduler::new(MadVmConfig::default())),
         "noop" => Box::new(NoOpScheduler),
-        // hier: the two-level sharded Megh with auto-sized shards
-        // (~64 hosts per shard).
-        "hier" => {
-            let shards = config.pms.len().div_ceil(64).max(1);
-            Box::new(HierMegh::sharded(megh_cfg(), shards))
-        }
         other => {
             // megh-p<N>: the periodicity-aware variant.
             if let Some(phases) = other
@@ -334,19 +314,12 @@ pub fn build_named_scheduler(
                 .filter(|&p| p > 0)
             {
                 Box::new(PeriodicMeghAgent::new(megh_cfg(), phases))
-            } else if let Some(shards) = other
-                .strip_prefix("hier")
-                .and_then(|s| s.parse::<usize>().ok())
-                .filter(|&s| s > 0 && s <= config.pms.len().max(1))
-            {
-                // hier<N>: explicit shard count.
-                Box::new(HierMegh::sharded(megh_cfg(), shards))
             } else {
                 return Err(ArgsError::Invalid {
                     key: "scheduler".into(),
                     value: other.to_string(),
                     expected:
-                        "one of megh|megh-p<N>|hier|hier<N>|thr-mmt|iqr-mmt|mad-mmt|lr-mmt|lrr-mmt|madvm|noop|all",
+                        "one of megh|megh-p<N>|thr-mmt|iqr-mmt|mad-mmt|lr-mmt|lrr-mmt|madvm|noop|all",
                 });
             }
         }
@@ -369,7 +342,7 @@ pub fn run_named_scheduler(
 }
 
 /// [`run_named_scheduler`] with explicit engine options
-/// (`--chunk-steps`, `--sim-threads`, `--progress-every`).
+/// (`--chunk-steps`, `--progress-every`).
 ///
 /// # Errors
 ///
@@ -515,8 +488,8 @@ pub fn run_streamed_file(
     .map_err(setup_error)
 }
 
-/// Parses the shared `--chunk-steps` / `--sim-threads` /
-/// `--progress-every` engine knobs.
+/// Parses the shared `--chunk-steps` / `--progress-every` engine
+/// knobs.
 ///
 /// # Errors
 ///
@@ -525,7 +498,6 @@ pub fn engine_options(args: &Args) -> Result<SimOptions, ArgsError> {
     let defaults = SimOptions::default();
     Ok(SimOptions {
         chunk_steps: ENGINE_FLAGS.positive_usize(args, "chunk-steps", defaults.chunk_steps)?,
-        sim_threads: ENGINE_FLAGS.positive_usize(args, "sim-threads", defaults.sim_threads)?,
         progress_every: ENGINE_FLAGS.parsed(args, "progress-every", 0, "integer")?,
     })
 }
@@ -540,9 +512,10 @@ pub fn peak_rss_kb() -> Option<u64> {
 
 /// One scheduler's hot-path observability record written to
 /// `latency_alloc_report.json`: the decision-latency summary the
-/// simulator recorded plus the process-wide heap-allocation delta
-/// across the whole run (simulation bookkeeping included — the point
-/// of the number is its *growth rate* across schedulers and sizes).
+/// simulator recorded plus the heap-allocation delta of the thread
+/// that ran it, across the whole run (simulation bookkeeping included —
+/// the point of the number is its *growth rate* across schedulers and
+/// sizes).
 #[derive(Debug, Clone, Serialize)]
 pub struct LatencyAllocReport {
     /// Scheduler display name (matches the summary report).
@@ -587,7 +560,7 @@ pub fn cmd_simulate(args: &Args) -> Result<String, ArgsError> {
     let mut out = String::new();
     let names: Vec<&str> = if scheduler == "all" {
         vec![
-            "noop", "thr-mmt", "iqr-mmt", "mad-mmt", "lr-mmt", "lrr-mmt", "madvm", "megh", "hier",
+            "noop", "thr-mmt", "iqr-mmt", "mad-mmt", "lr-mmt", "lrr-mmt", "madvm", "megh",
         ]
     } else {
         vec![scheduler]
@@ -886,7 +859,6 @@ pub fn cmd_serve(args: &Args) -> Result<String, ArgsError> {
     let mut opts = ServeOptions::new(listen, std::path::PathBuf::from(checkpoint));
     opts.checkpoint_every = SERVE_FLAGS.parsed(args, "checkpoint-every", 0, "integer")?;
     opts.writer_seed = SERVE_FLAGS.parsed(args, "writer-seed", opts.writer_seed, "integer")?;
-    opts.shards = SERVE_FLAGS.parsed(args, "shards", 1, "integer")?;
     let vms: usize = SERVE_FLAGS.parsed(args, "vms", 40, "integer")?;
     let hosts: usize = SERVE_FLAGS.parsed(args, "hosts", 20, "integer")?;
     let config = MeghConfig::paper_defaults(vms, hosts);
@@ -1153,7 +1125,7 @@ mod tests {
         std::fs::remove_file(&path).ok();
         let reports: serde_json::Value = serde_json::from_str(&json).unwrap();
         let arr = reports.as_array().expect("an array of reports");
-        assert_eq!(arr.len(), 9, "all nine schedulers must be in the file");
+        assert_eq!(arr.len(), 8, "all eight schedulers must be in the file");
     }
 
     #[test]
@@ -1228,59 +1200,6 @@ mod tests {
     }
 
     #[test]
-    fn sweep_determinism_sharded_hier_out_is_thread_invariant() {
-        // CI runs this by name (ci.sh filters on `sweep_determinism`):
-        // a sweep of the hierarchical scheduler must produce the same
-        // --out bytes for any worker thread count.
-        let dir = std::env::temp_dir().join(format!("megh-cli-hsweep-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let mut bytes = Vec::new();
-        for threads in [1usize, 8] {
-            let path = dir.join(format!("hsweep-t{threads}.json"));
-            let line = format!(
-                "sweep --hosts 4 --vms 6 --days 1 --seeds 4 --scheduler hier2 \
-                 --threads {threads} --out {}",
-                path.display()
-            );
-            dispatch(&parse(&line)).unwrap();
-            bytes.push(std::fs::read(&path).unwrap());
-        }
-        std::fs::remove_dir_all(&dir).ok();
-        assert_eq!(
-            bytes[0], bytes[1],
-            "sharded sweep report bytes must not depend on the thread count"
-        );
-        let report: serde_json::Value =
-            serde_json::from_str(std::str::from_utf8(&bytes[0]).unwrap()).unwrap();
-        assert_eq!(report["scheduler"], "Megh-H");
-        assert_eq!(report["runs"].as_array().map(Vec::len), Some(4));
-    }
-
-    #[test]
-    fn hier_scheduler_names_parse_and_simulate() {
-        let out = dispatch(&parse(
-            "simulate --hosts 4 --vms 6 --days 1 --scheduler hier",
-        ))
-        .unwrap();
-        assert!(out.contains("Megh-H"), "{out}");
-        let out = dispatch(&parse(
-            "simulate --hosts 4 --vms 6 --days 1 --scheduler hier2",
-        ))
-        .unwrap();
-        assert!(out.contains("Megh-H"), "{out}");
-        // More shards than hosts is rejected as an argument error, not
-        // a panic inside the agent.
-        assert!(dispatch(&parse(
-            "simulate --hosts 4 --vms 6 --days 1 --scheduler hier9"
-        ))
-        .is_err());
-        assert!(dispatch(&parse(
-            "simulate --hosts 4 --vms 6 --days 1 --scheduler hier0"
-        ))
-        .is_err());
-    }
-
-    #[test]
     fn sweep_determinism_multi_scheduler_out_is_stable_and_ranked() {
         // CI runs this by name (ci.sh filters on `sweep_determinism`):
         // the multi-scheduler --out array must be byte-identical for any
@@ -1346,7 +1265,7 @@ mod tests {
             .unwrap();
             let streamed = dispatch(&parse(&format!(
                 "simulate --workload {workload} --hosts 3 --vms 5 --days 1 --scheduler thr-mmt \
-                 --chunk-steps 7 --sim-threads 2 --stream"
+                 --chunk-steps 7 --stream"
             )))
             .unwrap();
             let total = |s: &str| {
@@ -1381,7 +1300,7 @@ mod tests {
         )))
         .unwrap();
         let streamed = dispatch(&parse(&format!(
-            "simulate --hosts 3 --scheduler megh --file {} --stream --chunk-steps 7 --sim-threads 2",
+            "simulate --hosts 3 --scheduler megh --file {} --stream --chunk-steps 7",
             csv.display()
         )))
         .unwrap();
@@ -1407,16 +1326,15 @@ mod tests {
     #[test]
     fn sweep_determinism_chunking_never_changes_out_file() {
         // CI runs this by name (ci.sh filters on `sweep_determinism`):
-        // chunk size and per-step worker count must never change the
-        // --out bytes.
+        // chunk size must never change the --out bytes.
         let dir = std::env::temp_dir().join(format!("megh-cli-chunk-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let mut bytes = Vec::new();
-        for (chunk, threads) in [(288usize, 1usize), (7, 2)] {
-            let path = dir.join(format!("sweep-c{chunk}-t{threads}.json"));
+        for chunk in [288usize, 7] {
+            let path = dir.join(format!("sweep-c{chunk}.json"));
             let line = format!(
                 "sweep --hosts 3 --vms 4 --days 1 --seeds 3 --scheduler megh \
-                 --chunk-steps {chunk} --sim-threads {threads} --out {}",
+                 --chunk-steps {chunk} --out {}",
                 path.display()
             );
             dispatch(&parse(&line)).unwrap();
@@ -1425,14 +1343,13 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
         assert_eq!(
             bytes[0], bytes[1],
-            "sweep report bytes must not depend on chunking or sim-threads"
+            "sweep report bytes must not depend on chunking"
         );
     }
 
     #[test]
     fn engine_flags_reject_zero() {
         assert!(dispatch(&parse("simulate --hosts 2 --vms 2 --chunk-steps 0")).is_err());
-        assert!(dispatch(&parse("simulate --hosts 2 --vms 2 --sim-threads 0")).is_err());
         assert!(dispatch(&parse("sweep --hosts 2 --vms 2 --chunk-steps 0")).is_err());
     }
 
@@ -1450,7 +1367,6 @@ mod tests {
         let h = help();
         for flag in [
             "--chunk-steps",
-            "--sim-threads",
             "--progress-every",
             "--stream",
             "--mem-stats",

@@ -11,9 +11,10 @@ mod commands;
 
 use std::process::ExitCode;
 
-/// Counts every heap allocation the process performs. `simulate` reads
-/// the per-run deltas to report hot-path allocation behaviour alongside
-/// decision latency (see `latency_alloc_report.json`).
+/// Counts every heap allocation, per thread. `simulate` runs each
+/// scheduler on the calling thread and reads that thread's per-run
+/// deltas to report hot-path allocation behaviour alongside decision
+/// latency (see `latency_alloc_report.json`).
 #[global_allocator]
 static ALLOC: megh_core::diagnostics::CountingAllocator =
     megh_core::diagnostics::CountingAllocator::system();

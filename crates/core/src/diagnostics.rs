@@ -14,7 +14,8 @@
 //! the steady-state decision path performs zero heap allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
+use std::thread::LocalKey;
 
 use serde::{Deserialize, Serialize};
 
@@ -81,8 +82,8 @@ pub fn decision_latency(records: &[megh_sim::StepRecord]) -> LatencyStats {
 }
 
 /// A [`GlobalAlloc`] wrapper around the system allocator that counts
-/// every allocation. Install it in a test binary to assert a code path
-/// never touches the heap:
+/// every allocation, per thread. Install it in a test binary to assert
+/// a code path never touches the heap:
 ///
 /// ```ignore
 /// #[global_allocator]
@@ -93,45 +94,64 @@ pub fn decision_latency(records: &[megh_sim::StepRecord]) -> LatencyStats {
 /// hot_path();
 /// assert_eq!(ALLOC.allocations(), before);
 /// ```
-#[derive(Debug)]
+///
+/// Every getter reports the *calling thread's* counts, so a measurement
+/// sees only the code it brackets: allocations made concurrently by
+/// other threads (sibling tests under a multi-threaded harness, for
+/// instance) never leak into it. The counters are thread-locals shared
+/// by all instances; a process has a single global allocator, so in
+/// practice they belong to the installed one.
+#[derive(Debug, Default)]
 pub struct CountingAllocator {
-    allocations: AtomicU64,
-    deallocations: AtomicU64,
-    bytes_allocated: AtomicU64,
+    _private: (),
+}
+
+thread_local! {
+    // Const-initialised and without destructors: touching them from
+    // inside `alloc` never allocates and never re-enters the allocator.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static DEALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static BYTES_ALLOCATED: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Adds `by` to the calling thread's `counter`. A thread past its
+/// thread-local teardown still allocates; those calls go uncounted.
+fn bump(counter: &'static LocalKey<Cell<u64>>, by: u64) {
+    let _ = counter.try_with(|c| c.set(c.get().wrapping_add(by)));
+}
+
+fn read(counter: &'static LocalKey<Cell<u64>>) -> u64 {
+    counter.try_with(Cell::get).unwrap_or(0)
 }
 
 impl CountingAllocator {
     /// A counting wrapper over [`std::alloc::System`], usable in
     /// `static` position (`const fn`).
     pub const fn system() -> Self {
-        Self {
-            allocations: AtomicU64::new(0),
-            deallocations: AtomicU64::new(0),
-            bytes_allocated: AtomicU64::new(0),
-        }
+        Self { _private: () }
     }
 
-    /// Heap acquisitions observed so far (`alloc`, `alloc_zeroed`, and
-    /// `realloc` each count one).
+    /// Heap acquisitions made by the calling thread so far (`alloc`,
+    /// `alloc_zeroed`, and `realloc` each count one).
     pub fn allocations(&self) -> u64 {
-        self.allocations.load(Ordering::Relaxed)
+        read(&ALLOCATIONS)
     }
 
-    /// Frees observed so far.
+    /// Frees made by the calling thread so far.
     pub fn deallocations(&self) -> u64 {
-        self.deallocations.load(Ordering::Relaxed)
+        read(&DEALLOCATIONS)
     }
 
-    /// Total bytes requested across all acquisitions.
+    /// Total bytes the calling thread has requested across all
+    /// acquisitions.
     pub fn bytes_allocated(&self) -> u64 {
-        self.bytes_allocated.load(Ordering::Relaxed)
+        read(&BYTES_ALLOCATED)
     }
 }
 
-impl Default for CountingAllocator {
-    fn default() -> Self {
-        Self::system()
-    }
+fn count_acquisition(bytes: usize) {
+    bump(&ALLOCATIONS, 1);
+    bump(&BYTES_ALLOCATED, bytes as u64);
 }
 
 // SAFETY: delegates every operation unchanged to `System`; the counters
@@ -142,31 +162,25 @@ impl Default for CountingAllocator {
 unsafe impl GlobalAlloc for CountingAllocator {
     // lint: allow(unsafe_code)
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        self.allocations.fetch_add(1, Ordering::Relaxed);
-        self.bytes_allocated
-            .fetch_add(layout.size() as u64, Ordering::Relaxed);
+        count_acquisition(layout.size());
         System.alloc(layout)
     }
 
     // lint: allow(unsafe_code)
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        self.deallocations.fetch_add(1, Ordering::Relaxed);
+        bump(&DEALLOCATIONS, 1);
         System.dealloc(ptr, layout)
     }
 
     // lint: allow(unsafe_code)
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        self.allocations.fetch_add(1, Ordering::Relaxed);
-        self.bytes_allocated
-            .fetch_add(layout.size() as u64, Ordering::Relaxed);
+        count_acquisition(layout.size());
         System.alloc_zeroed(layout)
     }
 
     // lint: allow(unsafe_code)
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        self.allocations.fetch_add(1, Ordering::Relaxed);
-        self.bytes_allocated
-            .fetch_add(new_size as u64, Ordering::Relaxed);
+        count_acquisition(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -393,13 +407,18 @@ mod tests {
         // directly to check the bookkeeping.
         let counter = CountingAllocator::system();
         let layout = Layout::from_size_align(64, 8).unwrap();
+        let (allocs, frees, bytes) = (
+            counter.allocations(),
+            counter.deallocations(),
+            counter.bytes_allocated(),
+        );
         unsafe {
             let p = counter.alloc(layout);
             assert!(!p.is_null());
             counter.dealloc(p, layout);
         }
-        assert_eq!(counter.allocations(), 1);
-        assert_eq!(counter.deallocations(), 1);
-        assert_eq!(counter.bytes_allocated(), 64);
+        assert_eq!(counter.allocations() - allocs, 1);
+        assert_eq!(counter.deallocations() - frees, 1);
+        assert_eq!(counter.bytes_allocated() - bytes, 64);
     }
 }

@@ -45,7 +45,6 @@ mod agent;
 mod checkpoint;
 mod config;
 pub mod diagnostics;
-mod hier;
 mod lspi;
 mod periodic;
 mod policy;
@@ -57,7 +56,6 @@ pub use checkpoint::{
     CheckpointError, Config, Migration, SemVer, CHECKPOINT_VERSION,
 };
 pub use config::MeghConfig;
-pub use hier::{HierConfig, HierMegh};
 pub use lspi::SparseLspi;
 pub use periodic::PeriodicMeghAgent;
 pub use policy::BoltzmannPolicy;

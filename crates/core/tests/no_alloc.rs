@@ -2,11 +2,11 @@
 //! state, using a counting global allocator.
 //!
 //! This lives in its own integration-test binary because the
-//! `#[global_allocator]` attribute is process-wide; the test harness
-//! runs the assertions below in a single thread (`--test-threads` does
-//! not matter: each `#[test]` snapshots the counter around its own
-//! critical section, and nothing else allocates concurrently in this
-//! binary).
+//! `#[global_allocator]` attribute is process-wide. The allocator counts
+//! per thread, so each `#[test]` snapshots only its own thread's counter
+//! around its critical section: sibling tests allocating concurrently
+//! cannot leak into the measurement, and the result holds for any
+//! `--test-threads`.
 
 use megh_core::diagnostics::CountingAllocator;
 use megh_core::{BoltzmannPolicy, SparseLspi};

@@ -2,9 +2,7 @@
 //! sparse-LSPI state must track its dense oracle, and the Boltzmann
 //! policy must be a valid distribution over the action space.
 
-use megh_core::{
-    ActionSpace, BoltzmannPolicy, HierConfig, HierMegh, MeghAgent, MeghConfig, SparseLspi,
-};
+use megh_core::{ActionSpace, BoltzmannPolicy, MeghAgent, MeghConfig, SparseLspi};
 use megh_sim::{DataCenterConfig, InitialPlacement, PmId, Simulation, VmId};
 use megh_trace::WorkloadTrace;
 use proptest::prelude::*;
@@ -104,93 +102,6 @@ proptest! {
             let action = space.decode(a);
             prop_assert_eq!(space.index(action.vm, action.target), a);
         }
-    }
-
-    /// Two-level containment: for any fleet shape, shard count, and
-    /// trace, every migration the hierarchical scheduler emits stays
-    /// inside the moved VM's home shard — which makes an out-of-range
-    /// host index structurally impossible, not just unobserved.
-    #[test]
-    fn hier_placement_never_leaves_the_home_shard(
-        n_hosts in 2..9usize,
-        extra_vms in 0..10usize,
-        shard_req in 1..6usize,
-        trace_seed in 0..100usize,
-    ) {
-        let n_vms = n_hosts + extra_vms;
-        let n_shards = shard_req.min(n_hosts);
-        let rows: Vec<Vec<f64>> = (0..n_vms)
-            .map(|v| (0..60).map(|t| ((v * 31 + t * 11 + trace_seed) % 95) as f64).collect())
-            .collect();
-        let trace = WorkloadTrace::from_rows(300, rows).unwrap();
-        let mut config = DataCenterConfig::paper_planetlab(n_hosts, n_vms);
-        config.initial_placement = InitialPlacement::RoundRobin;
-        let sim = Simulation::new(config, trace).unwrap();
-
-        struct Check(HierMegh);
-        impl megh_sim::Scheduler for Check {
-            fn name(&self) -> &str {
-                "check"
-            }
-            fn decide(&mut self, view: &megh_sim::DataCenterView) -> Vec<megh_sim::MigrationRequest> {
-                let requests = self.0.decide(view);
-                for r in &requests {
-                    assert!(r.vm < VmId(view.n_vms()), "vm index out of range");
-                    assert!(r.target < PmId(view.n_hosts()), "host index out of range");
-                    let home = self.0.shard_of_vm(r.vm.0);
-                    assert!(
-                        self.0.shard_hosts(home).contains(&r.target.0),
-                        "vm {} (shard {home}) targeted out-of-shard host {}",
-                        r.vm.0,
-                        r.target.0
-                    );
-                }
-                requests
-            }
-            fn observe(&mut self, feedback: &megh_sim::StepFeedback) {
-                self.0.observe(feedback);
-            }
-        }
-        sim.run(Check(HierMegh::new(HierConfig::paper_defaults(n_vms, n_hosts, n_shards))));
-    }
-
-    /// Freezing every shard into its CSR snapshot and thawing back is
-    /// invisible to the value function: every per-shard Q entry
-    /// round-trips bit for bit, for any fleet shape and seed.
-    #[test]
-    fn hier_freeze_thaw_round_trips_q_bitwise(
-        n_hosts in 2..7usize,
-        extra_vms in 0..8usize,
-        shard_req in 1..4usize,
-        seed in 0..50u64,
-    ) {
-        let n_vms = n_hosts + extra_vms;
-        let n_shards = shard_req.min(n_hosts);
-        let rows: Vec<Vec<f64>> = (0..n_vms)
-            .map(|v| (0..80).map(|t| ((v * 17 + t * 13 + seed as usize) % 90) as f64).collect())
-            .collect();
-        let trace = WorkloadTrace::from_rows(300, rows).unwrap();
-        let sim = Simulation::new(DataCenterConfig::paper_planetlab(n_hosts, n_vms), trace).unwrap();
-        let mut cfg = HierConfig::paper_defaults(n_vms, n_hosts, n_shards);
-        cfg.base.seed = seed;
-        let mut agent = HierMegh::new(cfg);
-        sim.run(&mut agent);
-
-        let q_bits = |agent: &HierMegh| -> Vec<Vec<u64>> {
-            (0..agent.n_shards())
-                .map(|s| {
-                    let lspi = agent.shard_lspi(s);
-                    (0..lspi.dim()).map(|a| lspi.q(a).to_bits()).collect()
-                })
-                .collect()
-        };
-        let before = q_bits(&agent);
-        agent.freeze_all();
-        prop_assert_eq!(agent.frozen_shards(), agent.n_shards());
-        prop_assert_eq!(&before, &q_bits(&agent), "freeze changed a Q value");
-        agent.thaw_all();
-        prop_assert_eq!(agent.frozen_shards(), 0);
-        prop_assert_eq!(&before, &q_bits(&agent), "thaw changed a Q value");
     }
 
     /// The agent is a total function of (config, trace): same inputs,

@@ -530,7 +530,6 @@ const NONDET_TOKENS: &[&str] = &[
 /// accounting kernels.
 pub const HOT_PATH_FILES: &[&str] = &[
     "crates/core/src/agent.rs",
-    "crates/core/src/hier.rs",
     "crates/core/src/lspi.rs",
     "crates/core/src/policy.rs",
     "crates/linalg/src/csr.rs",

@@ -28,5 +28,5 @@ mod daemon;
 pub mod wire;
 
 pub use client::Client;
-pub use daemon::{run, Listen, ServeError, ServeOptions, Server};
+pub use daemon::{run, Listen, ServeError, ServeOptions, Server, MAX_REQUEST_BYTES};
 pub use wire::{Request, Response};

@@ -6,7 +6,7 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use megh_core::{load_checkpoint, Config, MeghConfig};
-use megh_serve::{Client, Listen, Request, Response, ServeOptions, Server};
+use megh_serve::{Client, Listen, Request, Response, ServeOptions, Server, MAX_REQUEST_BYTES};
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("megh-serve-{tag}-{}", std::process::id()));
@@ -157,40 +157,48 @@ fn tcp_listener_serves_decides_and_reports_addr() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+#[cfg(unix)]
 #[test]
-fn sharded_decide_stays_inside_the_seed_shard() {
-    // --shards 2 over 8 VMs × 4 hosts: shard 0 owns VMs 0..4 and hosts
-    // 0..2, shard 1 owns VMs 4..8 and hosts 2..4 (the HierMegh static
-    // partition). Every decision must pair a VM and a host of the SAME
-    // shard, and equal seeds must stay reproducible.
-    let dir = temp_dir("sharded");
-    let checkpoint = dir.join("checkpoint.json");
-    let mut opts = ServeOptions::new(Listen::parse("127.0.0.1:0"), checkpoint);
-    opts.shards = 2;
-    let server = Server::bind(MeghConfig::paper_defaults(8, 4), &opts).expect("bind");
-    let addr = server.local_addr().expect("tcp addr");
-    let listen = Listen::parse(&addr.to_string());
-    let handle = std::thread::spawn(move || server.run().expect("serve"));
+fn oversized_request_line_is_rejected_and_closes_only_its_connection() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::os::unix::net::UnixStream;
 
+    let dir = temp_dir("oversize");
+    let sock = dir.join("megh.sock");
+    let listen = Listen::parse(&format!("unix:{}", sock.display()));
+    let opts = ServeOptions::new(listen.clone(), dir.join("cp.json"));
+    let handle = start(MeghConfig::paper_defaults(4, 2), &opts);
+    // Wait for the listener before talking raw bytes to it.
     let mut client = connect(&listen);
-    let mut shards_hit = [false; 2];
-    for seed in 0..64 {
-        let a = client.decide(seed).unwrap();
-        assert_eq!(a, client.decide(seed).unwrap(), "seed {seed} reproducible");
-        let Response::Decision { vm, target, .. } = a else {
-            panic!("expected decision");
-        };
-        let vm_shard = vm / 4;
-        let host_shard = target / 2;
-        assert_eq!(
-            vm_shard, host_shard,
-            "seed {seed}: vm {vm} and host {target} belong to different shards"
-        );
-        shards_hit[vm_shard] = true;
-    }
-    assert_eq!(shards_hit, [true, true], "64 seeds must reach both shards");
 
-    assert!(matches!(client.shutdown().unwrap(), Response::Bye));
+    // One byte past the cap and no newline: the daemon must answer
+    // with an error instead of buffering until a newline arrives.
+    let mut raw = UnixStream::connect(&sock).expect("raw connect");
+    raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    raw.write_all(&vec![b'x'; MAX_REQUEST_BYTES + 1]).unwrap();
+    let mut reader = BufReader::new(raw);
+    let mut line = String::new();
+    reader
+        .read_line(&mut line)
+        .expect("an over-cap request must be answered, not waited on");
+    let response: Response = serde_json::from_str(line.trim()).expect("response json");
+    assert!(matches!(response, Response::Error { .. }), "{response:?}");
+    // ... and then that connection is closed.
+    line.clear();
+    assert_eq!(reader.read_line(&mut line).unwrap(), 0, "got {line:?}");
+
+    // Other and later connections are unaffected.
+    assert!(matches!(
+        client.decide(3).unwrap(),
+        Response::Decision { .. }
+    ));
+    let mut fresh = connect(&listen);
+    assert!(matches!(
+        fresh.decide(3).unwrap(),
+        Response::Decision { .. }
+    ));
+
+    assert!(matches!(fresh.shutdown().unwrap(), Response::Bye));
     handle.join().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
 }

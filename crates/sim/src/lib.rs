@@ -45,7 +45,6 @@ mod engine;
 mod metrics;
 mod migration;
 mod network;
-mod pool;
 mod power;
 mod scheduler;
 mod slav;

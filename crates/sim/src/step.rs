@@ -1,15 +1,9 @@
-//! Per-step accounting kernels shared by the sequential and parallel
-//! engine paths.
+//! Per-step accounting kernels for the engine.
 //!
 //! The engine's phase-5 accounting (per-host power draw + capacity
-//! deficit, then per-VM SLA terms) is embarrassingly parallel: every
-//! host and every VM is independent. These kernels operate on disjoint
-//! output slots so `run_core` can hand chunked ranges to the persistent
-//! [`crate::pool::StepPool`] workers and merge the results sequentially
-//! in index order — the same deterministic-merge pattern as
-//! [`crate::sweep::run_sweep`]. The single-threaded path calls the very
-//! same kernels over the full range, so sequential and parallel runs
-//! are byte-identical by construction.
+//! deficit, then per-VM SLA terms) treats every host and every VM
+//! independently: these kernels write one output slot per index, and
+//! `run_core` sums the slots in index order afterwards.
 //!
 //! Kernels are pure over their slices and run on the per-step hot path:
 //! they must not allocate, panic, or read any nondeterministic state.
