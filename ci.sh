@@ -119,4 +119,39 @@ wait "$SERVE_PID"
 diff -u "$SMOKE_DIR/before.txt" "$SMOKE_DIR/after.txt"
 echo "serve smoke: decisions identical across SIGKILL + restart"
 
+echo "==> serve smoke at d = 10^8 (10k VMs x 10k hosts): state is O(nnz), not O(d)"
+BIG_SOCK="unix:$SMOKE_DIR/big.sock"
+BIG_ARGS=(--listen "$BIG_SOCK" --checkpoint "$SMOKE_DIR/big.json" \
+  --vms 10000 --hosts 10000 --checkpoint-every 0)
+"$MEGH" serve "${BIG_ARGS[@]}" &
+SERVE_PID=$!
+for i in $(seq 0 199); do
+  "$MEGH" client --connect "$BIG_SOCK" --op observe \
+    --action $(( (i * 499979) % 100000000 )) --cost "0.$(( i % 9 + 1 ))" >/dev/null
+done
+"$MEGH" client --connect "$BIG_SOCK" --op sync >/dev/null
+"$MEGH" client --connect "$BIG_SOCK" --op decide --seed 7 > "$SMOKE_DIR/big_before.txt"
+"$MEGH" client --connect "$BIG_SOCK" --op checkpoint >/dev/null
+BIG_STATS=$("$MEGH" client --connect "$BIG_SOCK" --op stats)
+HWM_KB=$(awk '/^VmHWM:/ {print $2}' "/proc/$SERVE_PID/status")
+kill -9 "$SERVE_PID"
+wait "$SERVE_PID" 2>/dev/null || true
+"$MEGH" serve "${BIG_ARGS[@]}" &
+SERVE_PID=$!
+"$MEGH" client --connect "$BIG_SOCK" --op decide --seed 7 > "$SMOKE_DIR/big_after.txt"
+"$MEGH" client --connect "$BIG_SOCK" --op shutdown >/dev/null
+wait "$SERVE_PID"
+diff -u "$SMOKE_DIR/big_before.txt" "$SMOKE_DIR/big_after.txt"
+STATE_BYTES=$(echo "$BIG_STATS" | sed -n 's/.*"state_bytes":\([0-9]*\).*/\1/p')
+echo "d = 10^8: daemon VmHWM ${HWM_KB:-?} kB, state_bytes ${STATE_BYTES:-?}"
+if ! [ "${HWM_KB:-99999999}" -lt 65536 ] 2>/dev/null; then
+  echo "d = 10^8 serve: VmHWM ${HWM_KB:-unreadable} kB (budget: <65536 kB)" >&2
+  exit 1
+fi
+if ! [ "${STATE_BYTES:-99999999}" -lt 1048576 ] 2>/dev/null; then
+  echo "d = 10^8 serve: state_bytes ${STATE_BYTES:-unparsable} (budget: <1048576)" >&2
+  exit 1
+fi
+echo "serve smoke: d = 10^8 decisions identical across SIGKILL + restart"
+
 echo "CI OK"

@@ -20,12 +20,22 @@
 //! basis vectors `u`, `v` and the products `bu`, `vb` live in reusable
 //! scratch buffers, and the minimum explicit `θ` entry is cached and
 //! maintained incrementally so [`SparseLspi::min_q`] never scans.
+//!
+//! Every piece of state — `Δ`, `z`, `θ` and the set of explored actions
+//! — stores only what updates have touched, so construction, clone and
+//! (de)serialization cost `O(nnz)`, independent of `d`
+//! ([`SparseLspi::state_bytes`] reports the size). The optional CSR
+//! freeze is the one exception: its row/column pointers are `O(d)`.
 
 // This module is on the Megh decision hot path: steady-state calls must
 // not allocate. Enforced by `cargo run -p lint`.
 // lint: deny_alloc
 
+use std::collections::BTreeSet;
+use std::mem::size_of;
+
 use megh_linalg::{CsrMatrix, DokMatrix, SparseMatVec, SparseVec};
+use serde::value::{self, Value};
 use serde::{Deserialize, Serialize};
 
 #[cfg(feature = "check-invariants")]
@@ -67,11 +77,10 @@ pub struct SparseLspi {
     theta: SparseVec,
     updates: usize,
     skipped_singular: usize,
-    /// Per-action "has received a successful update" flags. An action's
-    /// `θ` entry can cancel back to exactly 0.0, so exploration must be
+    /// Actions that have received a successful update. An action's `θ`
+    /// entry can cancel back to exactly 0.0, so exploration must be
     /// tracked explicitly rather than read off `θ`'s support.
-    explored: Vec<bool>,
-    explored_count: usize,
+    explored: BTreeSet<usize>,
     /// Cached `(action, value)` of the smallest explicit `θ` entry,
     /// maintained incrementally across updates.
     min_entry: Option<(usize, f64)>,
@@ -112,8 +121,7 @@ impl SparseLspi {
             theta: SparseVec::zeros(dim),
             updates: 0,
             skipped_singular: 0,
-            explored: vec![false; dim], // lint: allow(alloc) — construction
-            explored_count: 0,
+            explored: BTreeSet::new(),
             min_entry: None,
             frozen: None,
             scratch_u: SparseVec::zeros(dim),
@@ -194,7 +202,16 @@ impl SparseLspi {
     /// Distinct actions that have received at least one successful
     /// update.
     pub fn explored_count(&self) -> usize {
-        self.explored_count
+        self.explored.len()
+    }
+
+    /// Bytes held by the learned state's stored entries: `Δ`'s entries
+    /// (each kept once per orientation), `z`'s, `θ`'s, and the explored
+    /// actions, times their element sizes. Container overhead (map
+    /// nodes, spare capacity) is not counted. `O(1)`.
+    pub fn state_bytes(&self) -> usize {
+        let entries = 2 * self.delta_b.nnz() + self.z.nnz() + self.theta.nnz();
+        entries * size_of::<(usize, f64)>() + self.explored.len() * size_of::<usize>()
     }
 
     /// Minimum Q over the whole action space.
@@ -224,9 +241,7 @@ impl SparseLspi {
     /// Panics if `action >= dim()`.
     pub fn is_unexplored(&self, action: usize) -> bool {
         assert!(action < self.dim, "action index {action} out of range");
-        // Contract: explored is dim-long from construction on.
-        debug_assert!(action < self.explored.len());
-        !self.explored[action]
+        !self.explored.contains(&action)
     }
 
     /// Applies one learning step: the agent took `a_prev`, observed
@@ -273,13 +288,7 @@ impl SparseLspi {
         // z' = z + C·φ_{a_prev}.
         self.z.add_at(a_prev, cost);
 
-        // Contract: explored is dim-long and a_prev < dim (asserted at
-        // entry alongside a_next).
-        debug_assert!(a_prev < self.explored.len());
-        if !self.explored[a_prev] {
-            self.explored[a_prev] = true;
-            self.explored_count += 1;
-        }
+        self.explored.insert(a_prev);
 
         self.updates += 1;
         #[cfg(feature = "check-invariants")]
@@ -503,7 +512,9 @@ impl SparseLspi {
 /// Serialized form: semantic state only. Scratch buffers and the cached
 /// minimum are derived, so they are rebuilt on restore; exploration
 /// flags are stored as the sorted list of explored action indices.
-#[derive(Serialize, Deserialize)]
+/// [`SparseLspi`]'s `Serialize` writes the same fields, in this order,
+/// from borrowed state.
+#[derive(Deserialize)]
 struct SparseLspiRepr {
     dim: usize,
     inv_delta: f64,
@@ -517,33 +528,27 @@ struct SparseLspiRepr {
 }
 
 impl Serialize for SparseLspi {
-    // Serialization is an explicit cold path (persistence, not decide);
-    // the unknown-receiver fallback also aliases the inner
-    // `.serialize(serializer)` call to every workspace `serialize`,
-    // including megh-serve's allocating wire impls, so the whole
-    // subtree is vouched rather than chased.
-    // lint: allow(transitive_alloc)
     fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        // Serialization is an explicit cold path (persistence, not decide).
-        let explored = self
-            .explored
-            .iter()
-            .enumerate()
-            .filter(|&(_, &e)| e)
-            .map(|(a, _)| a)
-            .collect(); // lint: allow(alloc)
-        SparseLspiRepr {
-            dim: self.dim,
-            inv_delta: self.inv_delta,
-            gamma: self.gamma,
-            delta_b: self.delta_b.clone(), // lint: allow(alloc)
-            z: self.z.clone(),             // lint: allow(alloc)
-            theta: self.theta.clone(),     // lint: allow(alloc)
-            updates: self.updates,
-            skipped_singular: self.skipped_singular,
-            explored,
-        }
-        .serialize(serializer)
+        use serde::ser::Error as _;
+        // Serialization is an explicit cold path (persistence, not
+        // decide); it walks only stored entries.
+        let explored: Vec<usize> = self.explored.iter().copied().collect(); // lint: allow(alloc)
+        let field = |name: &str, v: Result<Value, value::ValueError>| {
+            v.map(|v| (name.to_string(), v)).map_err(S::Error::custom) // lint: allow(alloc)
+        };
+        // The fields and order of `SparseLspiRepr`. lint: allow(alloc)
+        let pairs = vec![
+            field("dim", value::to_value(&self.dim))?,
+            field("inv_delta", value::to_value(&self.inv_delta))?,
+            field("gamma", value::to_value(&self.gamma))?,
+            field("delta_b", value::to_value(&self.delta_b))?,
+            field("z", value::to_value(&self.z))?,
+            field("theta", value::to_value(&self.theta))?,
+            field("updates", value::to_value(&self.updates))?,
+            field("skipped_singular", value::to_value(&self.skipped_singular))?,
+            field("explored", value::to_value(&explored))?,
+        ];
+        serializer.serialize_value(Value::Object(pairs))
     }
 }
 
@@ -552,19 +557,13 @@ impl<'de> Deserialize<'de> for SparseLspi {
     // lint: allow(transitive_alloc)
     fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
         let repr = SparseLspiRepr::deserialize(deserializer)?;
-        let mut explored = vec![false; repr.dim]; // lint: allow(alloc) — deserialization
-        for &a in &repr.explored {
-            // explored was sized to repr.dim just above.
-            if a >= explored.len() {
-                // lint: allow(alloc)
-                return Err(serde::de::Error::custom(format!(
-                    "explored action {a} outside dim {}",
-                    repr.dim
-                )));
-            }
-            explored[a] = true;
+        if let Some(&a) = repr.explored.iter().find(|&&a| a >= repr.dim) {
+            // lint: allow(alloc)
+            return Err(serde::de::Error::custom(format!(
+                "explored action {a} outside dim {}",
+                repr.dim
+            )));
         }
-        let explored_count = explored.iter().filter(|&&e| e).count();
         let mut lspi = SparseLspi {
             dim: repr.dim,
             inv_delta: repr.inv_delta,
@@ -574,8 +573,7 @@ impl<'de> Deserialize<'de> for SparseLspi {
             theta: repr.theta,
             updates: repr.updates,
             skipped_singular: repr.skipped_singular,
-            explored,
-            explored_count,
+            explored: repr.explored.into_iter().collect(), // lint: allow(alloc)
             min_entry: None,
             frozen: None,
             scratch_u: SparseVec::zeros(repr.dim),

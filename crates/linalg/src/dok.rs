@@ -1,12 +1,24 @@
 //! Dictionary-of-keys sparse matrices with sorted row/column adjacency.
+//!
+//! Storage follows the stored entries, not the matrix order: only rows
+//! and columns holding at least one non-zero have an adjacency list, so
+//! construction, clone and serialization cost `O(nnz)` whatever the
+//! order (Megh's `d = N × M` action space).
 
 // This module is on the Megh decision hot path: steady-state calls must
 // not allocate. Enforced by `cargo run -p lint`.
 // lint: deny_alloc
 
+use std::collections::btree_map::Entry;
+use std::collections::BTreeMap;
+
 use serde::{Deserialize, Serialize};
 
 use crate::SparseVec;
+
+/// One orientation of the adjacency: touched row (or column) index →
+/// its sorted `(index, value)` pairs. Never holds an empty list.
+type Adjacency = BTreeMap<usize, Vec<(usize, f64)>>;
 
 /// A square sparse matrix stored as sorted per-row and per-column
 /// adjacency lists.
@@ -17,8 +29,9 @@ use crate::SparseVec;
 /// proportional to the number of non-zeros actually touched rather than
 /// to the matrix order. Each list holds `(index, value)` pairs sorted by
 /// index, with the value mirrored in both orientations, so a product
-/// walks contiguous pairs directly — there is no per-entry hash or tree
-/// probe on the decision hot path.
+/// walks contiguous pairs after one ordered-map lookup per selected row
+/// or column. Only touched rows and columns have a list, and a list is
+/// dropped when its last entry cancels, so memory is `O(nnz)`.
 ///
 /// # Examples
 ///
@@ -33,21 +46,81 @@ use crate::SparseVec;
 pub struct DokMatrix {
     order: usize,
     nnz: usize,
-    /// Sorted `(col, value)` pairs, per row.
-    rows: Vec<Vec<(usize, f64)>>,
-    /// Sorted `(row, value)` pairs, per column; values mirror `rows`.
-    cols: Vec<Vec<(usize, f64)>>,
+    /// Sorted `(col, value)` pairs, per touched row.
+    rows: Adjacency,
+    /// Sorted `(row, value)` pairs, per touched column; values mirror
+    /// `rows`.
+    cols: Adjacency,
+}
+
+/// Runs `edit` on the list stored under `key`, starting from an empty
+/// list when there is none, and keeps `map` free of empty lists.
+fn edit_list<R>(
+    map: &mut Adjacency,
+    key: usize,
+    edit: impl FnOnce(&mut Vec<(usize, f64)>) -> R,
+) -> R {
+    match map.entry(key) {
+        Entry::Occupied(mut slot) => {
+            let list = slot.get_mut();
+            let out = edit(list);
+            if list.is_empty() {
+                slot.remove();
+            }
+            out
+        }
+        Entry::Vacant(slot) => {
+            // First touch of this row/column: its list grows from empty,
+            // as `Vec::insert` grows an existing one. lint: allow(alloc)
+            let mut list = Vec::new();
+            let out = edit(&mut list);
+            if !list.is_empty() {
+                slot.insert(list);
+            }
+            out
+        }
+    }
+}
+
+/// Replaces the value stored under `idx` in one sorted list (0.0 when
+/// absent) by `f(old)`, keeping the list free of zeros. Returns the
+/// change in stored entries: −1, 0 or +1.
+fn update_entry(list: &mut Vec<(usize, f64)>, idx: usize, f: impl FnOnce(f64) -> f64) -> isize {
+    match list.binary_search_by_key(&idx, |&(k, _)| k) {
+        Ok(pos) => {
+            debug_assert!(pos < list.len());
+            let value = f(list[pos].1);
+            if value == 0.0 {
+                list.remove(pos);
+                -1
+            } else {
+                list[pos].1 = value;
+                0
+            }
+        }
+        Err(pos) => {
+            let value = f(0.0);
+            if value == 0.0 {
+                0
+            } else {
+                list.insert(pos, (idx, value));
+                1
+            }
+        }
+    }
 }
 
 impl DokMatrix {
     /// Creates an all-zero square matrix of the given order.
+    ///
+    /// Allocation-free and `O(1)`: rows and columns get storage only
+    /// when first touched.
     pub fn zeros(order: usize) -> Self {
         Self {
             order,
             nnz: 0,
-            // One-time construction of the empty adjacency skeleton.
-            rows: vec![Vec::new(); order], // lint: allow(alloc)
-            cols: vec![Vec::new(); order], // lint: allow(alloc)
+            rows: BTreeMap::new(),
+            cols: BTreeMap::new(),
         }
     }
 
@@ -79,11 +152,12 @@ impl DokMatrix {
     /// Panics if `row` or `col` is out of range.
     pub fn get(&self, row: usize, col: usize) -> f64 {
         assert!(row < self.order && col < self.order, "index out of range");
-        // Contract: rows/cols are order-long adjacency tables.
-        debug_assert!(row < self.rows.len());
-        match self.rows[row].binary_search_by_key(&col, |&(c, _)| c) {
+        let Some(list) = self.rows.get(&row) else {
+            return 0.0;
+        };
+        match list.binary_search_by_key(&col, |&(c, _)| c) {
             // lint: allow(implicit_panic) -- binary_search returned Ok(pos), so pos indexes a stored entry
-            Ok(pos) => self.rows[row][pos].1,
+            Ok(pos) => list[pos].1,
             Err(_) => 0.0,
         }
     }
@@ -95,51 +169,19 @@ impl DokMatrix {
     /// Panics if `row` or `col` is out of range.
     pub fn set(&mut self, row: usize, col: usize, value: f64) {
         assert!(row < self.order && col < self.order, "index out of range");
-        // Contract: rows/cols are order-long adjacency tables.
-        debug_assert!(row < self.rows.len() && col < self.cols.len());
-        let row_list = &mut self.rows[row];
-        match row_list.binary_search_by_key(&col, |&(c, _)| c) {
-            Ok(pos) => {
-                // The mirror entry exists whenever the dual-adjacency
-                // invariant holds; a missing mirror is repaired in place
-                // (the `check-invariants` feature verifies the invariant
-                // after every Sherman–Morrison update).
-                let col_list = &mut self.cols[col];
-                let mirror = col_list.binary_search_by_key(&row, |&(r, _)| r);
-                if value == 0.0 {
-                    row_list.remove(pos);
-                    if let Ok(m) = mirror {
-                        col_list.remove(m);
-                    }
-                    // lint: allow(implicit_panic) -- an entry was just removed from row_list, so nnz >= 1
-                    self.nnz -= 1;
-                } else {
-                    // lint: allow(implicit_panic) -- binary_search returned Ok(pos), so pos indexes a stored entry
-                    row_list[pos].1 = value;
-                    match mirror {
-                        // lint: allow(implicit_panic) -- mirror search returned Ok(m), so m indexes a stored entry
-                        Ok(m) => col_list[m].1 = value,
-                        Err(m) => col_list.insert(m, (row, value)),
-                    }
-                }
-            }
-            Err(pos) => {
-                if value != 0.0 {
-                    row_list.insert(pos, (col, value));
-                    let col_list = &mut self.cols[col];
-                    match col_list.binary_search_by_key(&row, |&(r, _)| r) {
-                        Ok(m) => col_list[m].1 = value,
-                        Err(m) => col_list.insert(m, (row, value)),
-                    }
-                    self.nnz += 1;
-                }
-            }
-        }
+        let change = edit_list(&mut self.rows, row, |list| {
+            update_entry(list, col, |_| value)
+        });
+        edit_list(&mut self.cols, col, |list| {
+            update_entry(list, row, |_| value)
+        });
+        self.nnz = self.nnz.wrapping_add_signed(change);
     }
 
-    /// Verifies the dual-adjacency invariant: `rows` and `cols` are each
-    /// sorted and strictly increasing, mirror each other entry for entry,
-    /// and together store exactly [`DokMatrix::nnz`] values.
+    /// Verifies the dual-adjacency invariant: `rows` and `cols` hold no
+    /// empty list and no out-of-range index, are each sorted and
+    /// strictly increasing, mirror each other entry for entry, and
+    /// together store exactly [`DokMatrix::nnz`] values.
     ///
     /// Intended for the `check-invariants` feature and tests; cost is
     /// `O(nnz · log nnz)`.
@@ -148,11 +190,14 @@ impl DokMatrix {
     ///
     /// Returns a static description of the first violation found.
     pub fn check_consistency(&self) -> Result<(), &'static str> {
-        if self.rows.len() != self.order || self.cols.len() != self.order {
-            return Err("adjacency list count does not match matrix order");
-        }
         let mut row_entries = 0usize;
-        for (r, row) in self.rows.iter().enumerate() {
+        for (&r, row) in &self.rows {
+            if r >= self.order {
+                return Err("row index out of range");
+            }
+            if row.is_empty() {
+                return Err("empty row adjacency list retained");
+            }
             let mut prev: Option<usize> = None;
             for &(c, v) in row {
                 if c >= self.order {
@@ -165,20 +210,26 @@ impl DokMatrix {
                 if v == 0.0 {
                     return Err("explicit zero stored in row adjacency list");
                 }
-                debug_assert!(c < self.cols.len());
-                match self.cols[c].binary_search_by_key(&r, |&(rr, _)| rr) {
-                    Ok(m) if self.cols[c][m].1 == v => {}
+                let Some(col) = self.cols.get(&c) else {
+                    return Err("row entry missing from column mirror");
+                };
+                match col.binary_search_by_key(&r, |&(rr, _)| rr) {
+                    Ok(m) if col[m].1.to_bits() == v.to_bits() => {}
                     Ok(_) => return Err("mirror entry disagrees on value"),
                     Err(_) => return Err("row entry missing from column mirror"),
                 }
                 row_entries += 1;
             }
         }
-        let col_entries: usize = self.cols.iter().map(Vec::len).sum();
-        for col in &self.cols {
+        let mut col_entries = 0usize;
+        for col in self.cols.values() {
+            if col.is_empty() {
+                return Err("empty column adjacency list retained");
+            }
             if col.windows(2).any(|w| w[0].0 >= w[1].0) {
                 return Err("column adjacency list not strictly increasing");
             }
+            col_entries += col.len();
         }
         if row_entries != self.nnz || col_entries != self.nnz {
             return Err("stored entry count disagrees with nnz");
@@ -186,19 +237,12 @@ impl DokMatrix {
         Ok(())
     }
 
-    /// Adds `delta` to the entry at `(row, col)`.
-    pub fn add_at(&mut self, row: usize, col: usize, delta: f64) {
-        let v = self.get(row, col) + delta;
-        self.set(row, col, v);
-    }
-
     /// Iterates over all stored `((row, col), value)` triplets in
     /// row-major order.
     pub fn iter(&self) -> impl Iterator<Item = ((usize, usize), f64)> + '_ {
         self.rows
             .iter()
-            .enumerate()
-            .flat_map(|(r, row)| row.iter().map(move |&(c, v)| ((r, c), v)))
+            .flat_map(|(&r, row)| row.iter().map(move |&(c, v)| ((r, c), v)))
     }
 
     /// Computes `M · v` for a sparse vector `v`.
@@ -253,10 +297,7 @@ impl DokMatrix {
         assert_eq!(out.dim(), self.order, "output dimension mismatch");
         out.clear();
         for (col, value) in v.iter() {
-            // Contract: SparseVec stores indices < dim = order (asserted
-            // above), and cols is order-long.
-            debug_assert!(col < self.cols.len());
-            for &(row, w) in &self.cols[col] {
+            for &(row, w) in self.cols.get(&col).into_iter().flatten() {
                 out.add_at(row, value * w);
             }
         }
@@ -298,10 +339,7 @@ impl DokMatrix {
         assert_eq!(out.dim(), self.order, "output dimension mismatch");
         out.clear();
         for (row, value) in v.iter() {
-            // Contract: SparseVec stores indices < dim = order (asserted
-            // above), and rows is order-long.
-            debug_assert!(row < self.rows.len());
-            for &(col, w) in &self.rows[row] {
+            for &(col, w) in self.rows.get(&row).into_iter().flatten() {
                 out.add_at(col, value * w);
             }
         }
@@ -316,18 +354,20 @@ impl DokMatrix {
         assert_eq!(v.len(), self.order, "dimension mismatch");
         // Dense materialisation is a diagnostic path, not the hot loop.
         let mut out = vec![0.0; self.order]; // lint: allow(alloc)
-        for (row, list) in self.rows.iter().enumerate() {
-            for &(col, value) in list {
-                // lint: allow(implicit_panic) -- row enumerates the order-long rows table and out/v are order-long (asserted)
-                out[row] += value * v[col];
-            }
+        for ((row, col), value) in self.iter() {
+            // lint: allow(implicit_panic) -- stored indices are below order, and out/v are order-long (asserted)
+            out[row] += value * v[col];
         }
         out
     }
 
     /// Adds the rank-1 outer product `scale · u vᵀ` in place.
     ///
-    /// Cost is `O(nnz(u) · nnz(v))` list updates.
+    /// Cost is `O(nnz(u) · nnz(v))` list updates plus one ordered-map
+    /// lookup per touched row and column. Entry `(i, j)` becomes
+    /// `get(i, j) + scale·uᵢ·vⱼ`, stored as by [`DokMatrix::set`], so
+    /// the result is bitwise identical to updating the entries one by
+    /// one.
     ///
     /// # Examples
     ///
@@ -346,10 +386,22 @@ impl DokMatrix {
     pub fn add_outer_product(&mut self, u: &SparseVec, v: &SparseVec, scale: f64) {
         assert_eq!(u.dim(), self.order, "dimension mismatch for u");
         assert_eq!(v.dim(), self.order, "dimension mismatch for v");
+        // Both orientations repeat the same `old + delta` arithmetic, so
+        // the mirrored values agree bit for bit.
         for (i, uv) in u.iter() {
-            for (j, vv) in v.iter() {
-                self.add_at(i, j, scale * uv * vv);
-            }
+            let change = edit_list(&mut self.rows, i, |row| {
+                v.iter()
+                    .map(|(j, vv)| update_entry(row, j, |old| old + scale * uv * vv))
+                    .sum::<isize>()
+            });
+            self.nnz = self.nnz.wrapping_add_signed(change);
+        }
+        for (j, vv) in v.iter() {
+            edit_list(&mut self.cols, j, |col| {
+                for (i, uv) in u.iter() {
+                    update_entry(col, i, |old| old + scale * uv * vv);
+                }
+            });
         }
     }
 }
@@ -523,5 +575,45 @@ mod tests {
         m.add_outer_product(&u, &v, 1.0);
         m.add_outer_product(&u, &v, -1.0);
         assert_eq!(m.nnz(), 0);
+    }
+
+    #[test]
+    fn storage_follows_touched_rows_and_columns() {
+        // A huge order costs nothing until entries arrive.
+        let mut m = DokMatrix::zeros(usize::MAX / 2);
+        m.set(7, 1 << 40, 2.0);
+        m.add_outer_product(
+            &SparseVec::from_pairs(m.order(), [(7, 1.0), (9, 1.0)]),
+            &SparseVec::basis(m.order(), 3),
+            0.5,
+        );
+        assert_eq!((m.rows.len(), m.cols.len()), (2, 2));
+        assert_eq!(m.check_consistency(), Ok(()));
+        // Cancelling the last entry of a row or column drops its list.
+        m.set(7, 1 << 40, 0.0);
+        m.add_outer_product(
+            &SparseVec::basis(m.order(), 9),
+            &SparseVec::basis(m.order(), 3),
+            -0.5,
+        );
+        assert_eq!((m.rows.len(), m.cols.len()), (1, 1));
+        assert_eq!(m.nnz(), 1);
+        assert_eq!(m.check_consistency(), Ok(()));
+    }
+
+    #[test]
+    fn consistency_check_rejects_retained_empty_lists() {
+        let mut m = DokMatrix::zeros(3);
+        m.rows.insert(1, Vec::new());
+        assert_eq!(
+            m.check_consistency(),
+            Err("empty row adjacency list retained")
+        );
+        let mut m = DokMatrix::zeros(3);
+        m.cols.insert(2, Vec::new());
+        assert_eq!(
+            m.check_consistency(),
+            Err("empty column adjacency list retained")
+        );
     }
 }

@@ -170,6 +170,78 @@ proptest! {
         prop_assert_eq!(csr.mul_sparse_vec_left(&e).to_dense(), want.to_dense());
     }
 
+    /// Random interleavings of `set`, explicit removal and
+    /// `add_outer_product` — including updates that cancel an entry to
+    /// exactly zero — leave the compact DOK bitwise equal to a dense
+    /// reference that replays the same `old + scale·uᵢ·vⱼ` arithmetic,
+    /// with no empty row or column list retained. The same sequence on
+    /// a matrix of order 7·2⁴⁰ (indices spread by 2⁴⁰) stores the same
+    /// entries and products, and a CSR snapshot multiplies bitwise like
+    /// the DOK.
+    #[test]
+    fn compact_dok_matches_dense_reference_under_interleaved_edits(
+        ops in prop::collection::vec(
+            (0..4usize, (0..7usize, 0..7usize), -4.0..4.0f64, sparse_vec_strategy(7), sparse_vec_strategy(7)),
+            0..30,
+        ),
+        probe in sparse_vec_strategy(7),
+    ) {
+        const SPREAD: usize = 1 << 40;
+        let spread = |v: &SparseVec| SparseVec::from_pairs(7 * SPREAD, v.iter().map(|(i, x)| (i * SPREAD, x)));
+        let mut dense = [[0.0f64; 7]; 7];
+        let mut m = DokMatrix::zeros(7);
+        let mut big = DokMatrix::zeros(7 * SPREAD);
+        for (kind, (r, c), value, u, v) in ops {
+            match kind {
+                0 | 1 => {
+                    // Kind 1 removes the entry explicitly.
+                    let value = if kind == 0 { value } else { 0.0 };
+                    dense[r][c] = value;
+                    m.set(r, c, value);
+                    big.set(r * SPREAD, c * SPREAD, value);
+                }
+                2 => {
+                    for (i, ui) in u.iter() {
+                        for (j, vj) in v.iter() {
+                            dense[i][j] += value * ui * vj;
+                        }
+                    }
+                    m.add_outer_product(&u, &v, value);
+                    big.add_outer_product(&spread(&u), &spread(&v), value);
+                }
+                _ => {
+                    // An exact cancellation: x + (−x) = 0.
+                    let (e_r, e_c) = (SparseVec::basis(7, r), SparseVec::basis(7, c));
+                    let cancel = -dense[r][c];
+                    dense[r][c] += cancel;
+                    m.add_outer_product(&e_r, &e_c, cancel);
+                    big.add_outer_product(&spread(&e_r), &spread(&e_c), cancel);
+                }
+            }
+            prop_assert_eq!(m.check_consistency(), Ok(()));
+            prop_assert_eq!(big.check_consistency(), Ok(()));
+        }
+        let mut nnz = 0;
+        for (r, row) in dense.iter().enumerate() {
+            for (c, &want) in row.iter().enumerate() {
+                nnz += usize::from(want != 0.0);
+                let want = if want == 0.0 { 0.0 } else { want };
+                prop_assert_eq!(m.get(r, c).to_bits(), want.to_bits());
+                prop_assert_eq!(big.get(r * SPREAD, c * SPREAD).to_bits(), want.to_bits());
+            }
+        }
+        prop_assert_eq!(m.nnz(), nnz);
+        prop_assert_eq!(big.nnz(), nnz);
+        let csr = m.to_csr();
+        prop_assert_eq!(csr.mul_sparse_vec(&probe), m.mul_sparse_vec(&probe));
+        prop_assert_eq!(csr.mul_sparse_vec_left(&probe), m.mul_sparse_vec_left(&probe));
+        // The CSR pointers are O(order), so the spread matrix is checked
+        // against the small one instead of a snapshot of its own.
+        let big_probe = spread(&probe);
+        prop_assert_eq!(big.mul_sparse_vec(&big_probe), spread(&m.mul_sparse_vec(&probe)));
+        prop_assert_eq!(big.mul_sparse_vec_left(&big_probe), spread(&m.mul_sparse_vec_left(&probe)));
+    }
+
     /// A CSR snapshot agrees with the source matrix entry for entry and
     /// round-trips through `iter()` in the same row-major order.
     #[test]

@@ -1,26 +1,28 @@
-//! The decision daemon: a lock-free read path over a frozen CSR
+//! The decision daemon: a lock-free read path over an immutable
 //! snapshot, one writer thread batching learning updates, and
 //! crash-safe versioned checkpoints.
 //!
 //! # Architecture
 //!
 //! ```text
-//!   clients ──decide──▶ handler threads ──▶ Arc<Snapshot> (frozen CSR, read-only)
+//!   clients ──decide──▶ handler threads ──▶ Arc<Snapshot> (read-only)
 //!   clients ──observe─▶ handler threads ──▶ mpsc ──▶ writer thread
 //!                                                     │ drains a batch
 //!                                                     │ applies Sherman–Morrison updates
-//!                                                     │ clones + freezes → publishes new Arc
+//!                                                     │ clones → publishes new Arc
 //!                                                     └ checkpoints (atomic rename)
 //! ```
 //!
 //! Decide requests never take the writer's path: each handler clones
 //! the current `Arc<Snapshot>` under a briefly held read lock and
-//! samples from the frozen CSR with a request-seeded RNG, so any number
-//! of decides run concurrently against immutable state and the same
-//! `(snapshot, seed)` pair always returns the same action. The writer
-//! owns the only mutable copy; after applying a batch it publishes a
-//! freshly frozen clone, so readers never observe a half-applied
-//! update.
+//! samples from it with a request-seeded RNG, so any number of decides
+//! run concurrently against immutable state and the same
+//! `(snapshot, seed)` pair always returns the same action. A decide
+//! reads only `θ` and its cached minimum. The writer owns the only
+//! mutable copy; after applying a batch it publishes a clone, so
+//! readers never observe a half-applied update. The learned state
+//! stores only touched entries, so a publish and a checkpoint both cost
+//! `O(nnz)` whatever the `N × M` action space.
 //!
 //! # Crash safety
 //!
@@ -162,8 +164,8 @@ impl ServeOptions {
     }
 }
 
-/// What the read path serves from: an immutable, frozen view of the
-/// learned state at some publish instant.
+/// What the read path serves from: an immutable copy of the learned
+/// state at some publish instant.
 struct Snapshot {
     lspi: SparseLspi,
     steps: usize,
@@ -189,10 +191,11 @@ enum WriterMsg {
 
 /// The single owner of the mutable learned state.
 struct Writer {
-    config: MeghConfig,
-    lspi: SparseLspi,
+    /// The learned state, kept in checkpoint form so a checkpoint
+    /// serializes it in place. Its `temperature` is refreshed from
+    /// `policy` just before each save.
+    state: MeghCheckpoint,
     policy: BoltzmannPolicy,
-    steps: usize,
     rng: StdRng,
     shared: Arc<Shared>,
     checkpoint_path: PathBuf,
@@ -201,13 +204,11 @@ struct Writer {
 }
 
 impl Writer {
-    /// Publishes a frozen clone of the current state for the read path.
+    /// Publishes a clone of the current state for the read path.
     fn publish(&self) {
-        let mut frozen = self.lspi.clone();
-        frozen.freeze();
         let snapshot = Arc::new(Snapshot {
-            lspi: frozen,
-            steps: self.steps,
+            lspi: self.state.lspi.clone(),
+            steps: self.state.steps,
             temperature: self.policy.temperature(),
         });
         match self.shared.snapshot.write() {
@@ -220,24 +221,19 @@ impl Writer {
     /// One learning step: greedy successor, Sherman–Morrison update,
     /// temperature decay.
     fn apply(&mut self, action: usize, cost: f64) {
-        let a_next = self.policy.greedy(&self.lspi, &mut self.rng);
-        self.lspi.update(action, a_next, cost);
+        let a_next = self.policy.greedy(&self.state.lspi, &mut self.rng);
+        self.state.lspi.update(action, a_next, cost);
         self.policy.decay();
-        self.steps += 1;
+        self.state.steps += 1;
         self.since_checkpoint += 1;
         self.shared.queued.fetch_sub(1, Ordering::Relaxed);
     }
 
     fn checkpoint(&mut self) -> Result<usize, CheckpointError> {
-        let cp = MeghCheckpoint {
-            config: self.config.clone(),
-            lspi: self.lspi.clone(),
-            temperature: self.policy.temperature(),
-            steps: self.steps,
-        };
-        save_checkpoint(&self.checkpoint_path, &cp)?;
+        self.state.temperature = self.policy.temperature();
+        save_checkpoint(&self.checkpoint_path, &self.state)?;
         self.since_checkpoint = 0;
-        Ok(self.steps)
+        Ok(self.state.steps)
     }
 
     fn run(mut self, rx: Receiver<WriterMsg>) {
@@ -261,7 +257,7 @@ impl Writer {
                             self.publish();
                             dirty = false;
                         }
-                        let _ = ack.send(self.steps);
+                        let _ = ack.send(self.state.steps);
                     }
                     WriterMsg::Checkpoint(ack) => {
                         if dirty {
@@ -281,10 +277,10 @@ impl Writer {
                             match msg {
                                 WriterMsg::Update { action, cost } => self.apply(action, cost),
                                 WriterMsg::Sync(a) => {
-                                    let _ = a.send(self.steps);
+                                    let _ = a.send(self.state.steps);
                                 }
                                 WriterMsg::Checkpoint(a) | WriterMsg::Shutdown(a) => {
-                                    let _ = a.send(Ok(self.steps));
+                                    let _ = a.send(Ok(self.state.steps));
                                 }
                             }
                         }
@@ -362,11 +358,9 @@ impl Server {
         };
 
         let space = ActionSpace::new(state.config.n_vms, state.config.n_hosts);
-        let mut initial = state.lspi.clone();
-        initial.freeze();
         let shared = Arc::new(Shared {
             snapshot: RwLock::new(Arc::new(Snapshot {
-                lspi: initial,
+                lspi: state.lspi.clone(),
                 steps: state.steps,
                 temperature: state.temperature,
             })),
@@ -377,13 +371,9 @@ impl Server {
             shutdown: AtomicBool::new(false),
         });
 
-        let mut master = state.lspi;
-        master.thaw();
         let writer_state = Writer {
             policy: BoltzmannPolicy::with_temperature(state.temperature, state.config.epsilon),
-            config: state.config,
-            lspi: master,
-            steps: state.steps,
+            state,
             rng: StdRng::seed_from_u64(opts.writer_seed),
             shared: Arc::clone(&shared),
             checkpoint_path: opts.checkpoint.clone(),
@@ -644,6 +634,7 @@ fn respond(line: &str, shared: &Shared, tx: &Sender<WriterMsg>) -> Response {
                 nnz: snapshot.lspi.explicit_nnz(),
                 queued: shared.queued.load(Ordering::Relaxed),
                 published: shared.published.load(Ordering::Relaxed),
+                state_bytes: snapshot.lspi.state_bytes(),
             }
         }
         Request::Shutdown => {

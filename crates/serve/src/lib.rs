@@ -6,12 +6,14 @@
 //! the Megh agent as exactly that daemon:
 //!
 //! - **Read path** — concurrent `decide` requests are served lock-free
-//!   from a frozen CSR snapshot ([`megh_core::SparseLspi::freeze`])
-//!   behind an `Arc`, with per-request seeded RNGs so every decision is
-//!   reproducible against its snapshot.
+//!   from an immutable snapshot of the learned state behind an `Arc`,
+//!   with per-request seeded RNGs so every decision is reproducible
+//!   against its snapshot. A decide reads only `θ` and its cached
+//!   minimum.
 //! - **Write path** — a single writer thread drains a batched queue of
 //!   `observe` updates, applies the Sherman–Morrison learning steps,
-//!   and publishes a freshly frozen snapshot per batch.
+//!   and publishes a fresh snapshot per batch: a clone of the learned
+//!   state, which costs `O(nnz)`, not `O(N × M)`.
 //! - **Persistence** — versioned, checksummed checkpoints
 //!   ([`megh_core::save_checkpoint`]) written atomically, loaded
 //!   through a migration chain, so a daemon killed at any instant

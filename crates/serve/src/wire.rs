@@ -18,7 +18,7 @@
 //! {"op":"shutdown"}
 //! ```
 //!
-//! A `decide` is served entirely from the currently published frozen
+//! A `decide` is served entirely from the currently published
 //! snapshot; `seed` makes it reproducible — the same seed against the
 //! same snapshot returns the same action. An `observe` enqueues one
 //! learning update (`action` was taken, `cost` was observed) for the
@@ -99,6 +99,9 @@ pub enum Response {
         queued: usize,
         /// Snapshots published since this daemon process started.
         published: u64,
+        /// Bytes of learned state in the published snapshot
+        /// ([`megh_core::SparseLspi::state_bytes`]).
+        state_bytes: usize,
     },
     /// The daemon acknowledged shutdown.
     Bye,
@@ -230,6 +233,7 @@ impl Response {
                 nnz,
                 queued,
                 published,
+                state_bytes,
             } => obj(&[
                 ok,
                 ("op", Value::String("stats".to_string())),
@@ -238,6 +242,7 @@ impl Response {
                 ("nnz", v_usize(*nnz)),
                 ("queued", v_usize(*queued)),
                 ("published", v_u64(*published)),
+                ("state_bytes", v_usize(*state_bytes)),
             ]),
             Response::Bye => obj(&[ok, ("op", Value::String("bye".to_string()))]),
             Response::Error { message } => obj(&[
@@ -290,6 +295,7 @@ impl Response {
                 published: value::take_field(&mut pairs, "published")
                     .as_u64()
                     .ok_or("`published` must be an unsigned integer")?,
+                state_bytes: need_usize(&mut pairs, "state_bytes")?,
             }),
             "bye" => Ok(Response::Bye),
             other => Err(format!("unknown response op `{other}`")),
@@ -364,6 +370,7 @@ mod tests {
                 nnz: 12,
                 queued: 0,
                 published: 4,
+                state_bytes: 640,
             },
             Response::Bye,
             Response::Error {

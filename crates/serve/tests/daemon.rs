@@ -37,10 +37,16 @@ fn learn_checkpoint_restart_serves_identical_decisions() {
     let mut client = connect(&listen);
 
     // Fresh daemon: steps 0, nothing learned.
-    let Response::Stats { steps, nnz, .. } = client.request(&Request::Stats).unwrap() else {
+    let Response::Stats {
+        steps,
+        nnz,
+        state_bytes,
+        ..
+    } = client.request(&Request::Stats).unwrap()
+    else {
         panic!("expected stats");
     };
-    assert_eq!((steps, nnz), (0, 0));
+    assert_eq!((steps, nnz, state_bytes), (0, 0, 0));
 
     // Feed learning updates and wait for them to be applied.
     for i in 0..40 {
@@ -83,10 +89,16 @@ fn learn_checkpoint_restart_serves_identical_decisions() {
     // post-extra-learning answer, not the 40-step one.
     let handle = start(config.clone(), &opts);
     let mut client = connect(&listen);
-    let Response::Stats { steps, .. } = client.request(&Request::Stats).unwrap() else {
+    let Response::Stats {
+        steps, state_bytes, ..
+    } = client.request(&Request::Stats).unwrap()
+    else {
         panic!("expected stats");
     };
     assert_eq!(steps, 50);
+    // The published snapshot is the recovered state.
+    assert!(state_bytes > 0);
+    assert_eq!(state_bytes, cp.lspi.state_bytes());
     let replayed = client.request_raw(&Request::Decide { seed: 0 }).unwrap();
     assert_eq!(replayed, after_extra);
     assert!(matches!(client.shutdown().unwrap(), Response::Bye));
