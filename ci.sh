@@ -42,6 +42,9 @@ cargo run -q -p lint -- --fix --check
 echo "==> cargo build --workspace --release"
 cargo build --workspace --release
 
+echo "==> benchmark harness (perf/) builds against the current crates"
+cargo build --offline --release --manifest-path perf/Cargo.toml --target-dir target
+
 echo "==> cargo test --workspace"
 cargo test --workspace -q
 

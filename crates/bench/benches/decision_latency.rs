@@ -81,40 +81,6 @@ fn bench_decision_latency(c: &mut Criterion) {
         b.iter(|| std::hint::black_box(madvm.decide(&view)));
     });
 
-    // Evaluation-phase decide with the critic running: `observe` feeds a
-    // cost, so the next `decide` computes the preview products B·u and
-    // Bᵀ·v. The two probes differ only in the backend serving those
-    // products — the frozen CSR snapshot vs the live DOK operator — so
-    // their ratio is the CSR freeze win in isolation.
-    for &(m, n) in &[(100usize, 132usize), (200, 264)] {
-        for (label, frozen) in [("dok_decide", false), ("csr_decide", true)] {
-            group.bench_with_input(
-                BenchmarkId::new(label, format!("{m}x{n}")),
-                &(m, n),
-                |b, _| {
-                    let (mut megh, view) =
-                        warmed(m, n, 30, MeghAgent::new(MeghConfig::paper_defaults(n, m)));
-                    if frozen {
-                        megh.freeze();
-                    } else {
-                        megh.suspend_learning();
-                    }
-                    let feedback = megh_sim::StepFeedback {
-                        step: 0,
-                        energy_cost_usd: 0.05,
-                        sla_cost_usd: 0.01,
-                        total_cost_usd: 0.06,
-                        applied: Vec::new(),
-                    };
-                    b.iter(|| {
-                        megh.observe(&feedback);
-                        std::hint::black_box(megh.decide(&view))
-                    });
-                },
-            );
-        }
-    }
-
     group.finish();
 }
 

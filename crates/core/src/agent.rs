@@ -82,14 +82,6 @@ pub struct MeghAgent {
     vm_taken: Vec<bool>,
     last_cost: Option<f64>,
     steps: usize,
-    /// `true` while the critic applies Sherman–Morrison updates;
-    /// `false` during evaluation phases, where the critic only previews.
-    learning: bool,
-    /// Σ|preview coefficient| accumulated during the current evaluation
-    /// phase — a drift diagnostic for the frozen policy.
-    eval_residual_abs: f64,
-    /// Previews accumulated during the current evaluation phase.
-    eval_previews: usize,
 }
 
 impl MeghAgent {
@@ -119,9 +111,6 @@ impl MeghAgent {
             vm_taken: Vec::new(), // lint: allow(alloc)
             last_cost: None,
             steps: 0,
-            learning: true,
-            eval_residual_abs: 0.0,
-            eval_previews: 0,
         }
     }
 
@@ -191,65 +180,7 @@ impl MeghAgent {
             last_cost: None,
             steps: checkpoint.steps,
             config: checkpoint.config,
-            // Evaluation mode is derived runtime state, not persisted:
-            // a restored agent resumes learning.
-            learning: true,
-            eval_residual_abs: 0.0,
-            eval_previews: 0,
         }
-    }
-
-    /// Enters an evaluation phase with the learned operator frozen into
-    /// a contiguous CSR snapshot.
-    ///
-    /// While frozen the agent still samples actions and runs its critic
-    /// pass every step, but the critic only *previews* the Sherman–
-    /// Morrison step ([`SparseLspi::preview_update`]) — `B`, `z`, `θ`
-    /// and the Boltzmann temperature all stay fixed, and the `B·u` /
-    /// `Bᵀ·v` products run on the flat CSR arrays. Calling
-    /// [`MeghAgent::thaw`] (or any direct `lspi` update) resumes
-    /// learning transparently.
-    pub fn freeze(&mut self) {
-        self.enter_eval();
-        self.lspi.freeze();
-    }
-
-    /// Enters the same evaluation phase as [`MeghAgent::freeze`] but
-    /// keeps the critic products on the mutable DOK backend.
-    ///
-    /// Exists so experiments (and the `csr_decide` bench probe) can
-    /// isolate the CSR snapshot's contribution: a suspended agent and a
-    /// frozen agent make bitwise-identical decisions and differ only in
-    /// the product kernels.
-    pub fn suspend_learning(&mut self) {
-        self.enter_eval();
-        self.lspi.thaw();
-    }
-
-    /// Resumes learning, dropping any frozen snapshot and the current
-    /// evaluation-phase diagnostics.
-    pub fn thaw(&mut self) {
-        self.learning = true;
-        self.lspi.thaw();
-    }
-
-    /// Whether the agent is in an evaluation phase (critic previews
-    /// instead of updating). Backend in use: `lspi().is_frozen()`.
-    pub fn is_frozen(&self) -> bool {
-        !self.learning
-    }
-
-    /// Mean |preview coefficient| over the current evaluation phase —
-    /// how much the frozen policy's value estimates would still move if
-    /// learning were on. `None` before the first preview.
-    pub fn eval_residual_mean(&self) -> Option<f64> {
-        (self.eval_previews > 0).then(|| self.eval_residual_abs / self.eval_previews as f64)
-    }
-
-    fn enter_eval(&mut self) {
-        self.learning = false;
-        self.eval_residual_abs = 0.0;
-        self.eval_previews = 0;
     }
 
     /// Learns from the stored `(a_t, C_{t+1})` pair, if any. Drains
@@ -259,14 +190,7 @@ impl MeghAgent {
             for idx in 0..self.pending.len() {
                 let a_prev = self.pending[idx];
                 let a_next = self.policy.greedy(&self.lspi, &mut self.rng);
-                if self.learning {
-                    self.lspi.update(a_prev, a_next, cost);
-                } else if let Some(coeff) = self.lspi.preview_update(a_prev, a_next, cost) {
-                    // Evaluation phase: same products (CSR when frozen),
-                    // no state change — accumulate the drift diagnostic.
-                    self.eval_residual_abs += coeff.abs();
-                    self.eval_previews += 1;
-                }
+                self.lspi.update(a_prev, a_next, cost);
             }
         }
         self.pending.clear();
@@ -290,16 +214,11 @@ impl Scheduler for MeghAgent {
             return Vec::new(); // lint: allow(alloc)
         }
 
-        // Critic: fold last step's observed cost into B, z, θ — or, in
-        // an evaluation phase, preview it without mutating.
+        // Critic: fold last step's observed cost into B, z, θ.
         self.learn_pending();
 
-        // Actor: anneal and sample. Annealing pauses while evaluating so
-        // a freeze → thaw round-trip leaves the exploration schedule
-        // exactly where learning left it.
-        if self.learning {
-            self.policy.decay();
-        }
+        // Actor: anneal and sample.
+        self.policy.decay();
         self.steps += 1;
 
         // Starts empty (no heap touch); pushes happen only on the rare
@@ -471,85 +390,6 @@ mod tests {
         let mut cp = agent.checkpoint();
         cp.config.gamma = 7.0;
         let _ = MeghAgent::restore(cp, 1);
-    }
-
-    #[test]
-    fn freeze_pauses_learning_and_thaw_resumes() {
-        let sim = mini_sim(4, 8, 60);
-        let mut agent = MeghAgent::new(MeghConfig::paper_defaults(8, 4));
-        sim.run(&mut agent);
-        let learned_nnz = agent.qtable_nnz();
-        let learned_updates = agent.lspi().updates();
-        let learned_temp = agent.temperature();
-        assert!(learned_nnz > 0);
-
-        agent.freeze();
-        assert!(agent.is_frozen());
-        assert!(agent.lspi().is_frozen());
-        sim.run(&mut agent);
-        // Evaluation ran the critic previews but changed nothing learned.
-        assert_eq!(agent.qtable_nnz(), learned_nnz);
-        assert_eq!(agent.lspi().updates(), learned_updates);
-        assert_eq!(agent.temperature(), learned_temp);
-        assert!(
-            agent.eval_residual_mean().is_some(),
-            "evaluation phase must accumulate preview diagnostics"
-        );
-
-        agent.thaw();
-        assert!(!agent.is_frozen());
-        assert!(!agent.lspi().is_frozen());
-        sim.run(&mut agent);
-        assert!(agent.lspi().updates() > learned_updates);
-        assert!(agent.temperature() < learned_temp);
-    }
-
-    #[test]
-    fn frozen_csr_and_suspended_dok_decide_identically() {
-        // The backend swap must be invisible: a frozen (CSR) agent and a
-        // suspended (DOK) agent with identical learned state must produce
-        // bitwise-identical runs.
-        let sim = mini_sim(4, 8, 50);
-        let mut warmed = MeghAgent::new(MeghConfig::paper_defaults(8, 4));
-        sim.run(&mut warmed);
-
-        let mut csr_agent = warmed.clone();
-        let mut dok_agent = warmed;
-        csr_agent.freeze();
-        dok_agent.suspend_learning();
-        assert!(csr_agent.lspi().is_frozen());
-        assert!(!dok_agent.lspi().is_frozen());
-
-        let a = sim.run(&mut csr_agent);
-        let b = sim.run(&mut dok_agent);
-        // Compare everything except decision_micros, the one wall-clock
-        // (hence nondeterministic) field in a step record.
-        assert_eq!(a.records().len(), b.records().len());
-        for (ra, rb) in a.records().iter().zip(b.records()) {
-            assert_eq!(ra.total_cost_usd, rb.total_cost_usd, "step {}", ra.step);
-            assert_eq!(ra.energy_cost_usd, rb.energy_cost_usd);
-            assert_eq!(ra.sla_cost_usd, rb.sla_cost_usd);
-            assert_eq!(ra.cumulative_migrations, rb.cumulative_migrations);
-            assert_eq!(ra.active_hosts, rb.active_hosts);
-        }
-        assert_eq!(a.final_placement(), b.final_placement());
-        assert_eq!(
-            csr_agent.eval_residual_mean(),
-            dok_agent.eval_residual_mean()
-        );
-    }
-
-    #[test]
-    fn direct_update_during_freeze_thaws_lspi() {
-        let sim = mini_sim(3, 6, 30);
-        let mut agent = MeghAgent::new(MeghConfig::paper_defaults(6, 3));
-        sim.run(&mut agent);
-        agent.freeze();
-        // thaw() is the intended exit, but the lspi also falls back to
-        // DOK transparently if an update arrives while frozen.
-        agent.thaw();
-        sim.run(&mut agent);
-        assert!(!agent.lspi().is_frozen());
     }
 
     #[test]

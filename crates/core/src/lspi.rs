@@ -24,8 +24,7 @@
 //! Every piece of state — `Δ`, `z`, `θ` and the set of explored actions
 //! — stores only what updates have touched, so construction, clone and
 //! (de)serialization cost `O(nnz)`, independent of `d`
-//! ([`SparseLspi::state_bytes`] reports the size). The optional CSR
-//! freeze is the one exception: its row/column pointers are `O(d)`.
+//! ([`SparseLspi::state_bytes`] reports the size).
 
 // This module is on the Megh decision hot path: steady-state calls must
 // not allocate. Enforced by `cargo run -p lint`.
@@ -34,7 +33,7 @@
 use std::collections::BTreeSet;
 use std::mem::size_of;
 
-use megh_linalg::{CsrMatrix, DokMatrix, SparseMatVec, SparseVec};
+use megh_linalg::{DokMatrix, SparseVec};
 use serde::value::{self, Value};
 use serde::{Deserialize, Serialize};
 
@@ -84,11 +83,6 @@ pub struct SparseLspi {
     /// Cached `(action, value)` of the smallest explicit `θ` entry,
     /// maintained incrementally across updates.
     min_entry: Option<(usize, f64)>,
-    /// Frozen CSR snapshot of `delta_b` for read-heavy evaluation
-    /// phases. `Some` between [`SparseLspi::freeze`] and the next
-    /// [`SparseLspi::thaw`] or [`SparseLspi::update`]; derived state,
-    /// never serialized.
-    frozen: Option<CsrMatrix>,
     // Reusable scratch for the Sherman–Morrison step; never serialized.
     scratch_u: SparseVec,
     scratch_v: SparseVec,
@@ -123,7 +117,6 @@ impl SparseLspi {
             skipped_singular: 0,
             explored: BTreeSet::new(),
             min_entry: None,
-            frozen: None,
             scratch_u: SparseVec::zeros(dim),
             scratch_v: SparseVec::zeros(dim),
             scratch_bu: SparseVec::zeros(dim),
@@ -261,10 +254,6 @@ impl SparseLspi {
         assert!(a_prev < self.dim, "a_prev out of range");
         assert!(a_next < self.dim, "a_next out of range");
 
-        // A learning step invalidates any frozen snapshot: thaw
-        // transparently and continue through the mutable DOK backend.
-        self.frozen = None;
-
         let den = self.sherman_products(a_prev, a_next);
         if den.abs() < 1e-12 {
             self.skipped_singular += 1;
@@ -297,12 +286,8 @@ impl SparseLspi {
     }
 
     /// Builds `u = φ_{a_prev}`, `v = u − γ·φ_{a_next}` in scratch and
-    /// computes `bu = B·u`, `vb = Bᵀ·v` through the active backend — the
-    /// frozen CSR snapshot when present, the mutable DOK otherwise —
-    /// returning the Sherman–Morrison denominator `1 + v·bu`.
-    ///
-    /// Both backends walk entries in identical order, so the scratch
-    /// products are bitwise equal whichever is active.
+    /// computes `bu = B·u`, `vb = Bᵀ·v`, returning the Sherman–Morrison
+    /// denominator `1 + v·bu`.
     fn sherman_products(&mut self, a_prev: usize, a_next: usize) -> f64 {
         // Basis vectors built in scratch so the steady-state step never
         // touches the allocator.
@@ -313,104 +298,26 @@ impl SparseLspi {
         self.scratch_v.add_at(a_next, -self.gamma);
 
         // bu = B·u = u/δ + Δ·u ; vb = Bᵀ·v = v/δ + Δᵀ·v.
-        let op: &dyn SparseMatVec = match self.frozen.as_ref() {
-            Some(csr) => csr,
-            None => &self.delta_b,
-        };
-        op.mul_sparse_vec_into(&self.scratch_u, &mut self.scratch_bu);
+        self.delta_b
+            .mul_sparse_vec_into(&self.scratch_u, &mut self.scratch_bu);
         self.scratch_bu
             .add_scaled_assign(&self.scratch_u, self.inv_delta);
-        op.mul_sparse_vec_left_into(&self.scratch_v, &mut self.scratch_vb);
+        self.delta_b
+            .mul_sparse_vec_left_into(&self.scratch_v, &mut self.scratch_vb);
         self.scratch_vb
             .add_scaled_assign(&self.scratch_v, self.inv_delta);
 
         1.0 + self.scratch_v.dot(&self.scratch_bu)
     }
 
-    /// Freezes the sparse correction `Δ` into a contiguous CSR snapshot
-    /// so read-only critics ([`SparseLspi::preview_update`]) run on flat
-    /// arrays instead of the per-row/per-column DOK adjacency.
+    /// Does nothing. `B` has a single sparse representation, updated in
+    /// place on every step, so there is nothing to freeze.
     ///
-    /// Idempotent; the snapshot is dropped by [`SparseLspi::thaw`] or
-    /// transparently by the next [`SparseLspi::update`]. Under the
-    /// `check-invariants` feature every freeze asserts that the snapshot
-    /// stores the same entries as the DOK and that both backends produce
-    /// bitwise-identical products along every basis direction.
-    pub fn freeze(&mut self) {
-        if self.frozen.is_some() {
-            return;
-        }
-        let csr = self.delta_b.to_csr();
-        #[cfg(feature = "check-invariants")]
-        self.verify_freeze(&csr);
-        self.frozen = Some(csr);
-    }
-
-    /// Drops the frozen CSR snapshot, returning products to the mutable
-    /// DOK backend. Idempotent.
-    pub fn thaw(&mut self) {
-        self.frozen = None;
-    }
-
-    /// Whether products are currently routed through a frozen CSR
-    /// snapshot.
-    pub fn is_frozen(&self) -> bool {
-        self.frozen.is_some()
-    }
-
-    /// Asserts CSR ≡ DOK after a freeze: identical stored entries and
-    /// bitwise-identical `M·e_a` / `e_aᵀ·M` products for every basis
-    /// direction `a` (which spans both product kernels and, since every
-    /// multi-entry product is a fixed-order sum of these walks, pins the
-    /// backends to the same summation order).
-    #[cfg(feature = "check-invariants")]
-    fn verify_freeze(&self, csr: &CsrMatrix) {
-        let entries = csr.check_matches_dok(&self.delta_b);
-        assert!(
-            entries.is_ok(),
-            "CSR snapshot diverges from DOK after freeze: {entries:?}"
-        );
-        let mut dok_out = SparseVec::zeros(self.dim);
-        let mut csr_out = SparseVec::zeros(self.dim);
-        for a in 0..self.dim {
-            let e = SparseVec::basis(self.dim, a);
-            self.delta_b.mul_sparse_vec_into(&e, &mut dok_out);
-            csr.mul_sparse_vec_into(&e, &mut csr_out);
-            assert_eq!(dok_out, csr_out, "CSR Δ·e_{a} diverges from DOK");
-            self.delta_b.mul_sparse_vec_left_into(&e, &mut dok_out);
-            csr.mul_sparse_vec_left_into(&e, &mut csr_out);
-            assert_eq!(dok_out, csr_out, "CSR e_{a}ᵀ·Δ diverges from DOK");
-        }
-    }
-
-    /// Computes the Sherman–Morrison step for `(a_prev, a_next, cost)`
-    /// *without applying it*, returning the coefficient the step would
-    /// multiply `B·u` by when updating `θ` — a per-sample Bellman
-    /// correction magnitude.
-    ///
-    /// This is the read-only critic evaluation phases run in place of
-    /// [`SparseLspi::update`]: it performs the same `B·u` / `Bᵀ·v`
-    /// products (routed through the frozen CSR snapshot when one is
-    /// active) but leaves `B`, `z`, `θ` and all counters untouched.
-    /// Returns `None` when the denominator vanishes, mirroring the
-    /// skipped-update case.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either action index is out of range.
-    // lint: depth_budget(6)
-    pub fn preview_update(&mut self, a_prev: usize, a_next: usize, cost: f64) -> Option<f64> {
-        assert!(a_prev < self.dim, "a_prev out of range");
-        assert!(a_next < self.dim, "a_next out of range");
-
-        let den = self.sherman_products(a_prev, a_next);
-        if den.abs() < 1e-12 {
-            return None;
-        }
-        let vb_z = self.scratch_vb.dot(&self.z);
-        let vb_u = self.scratch_vb.dot(&self.scratch_u);
-        Some(-(vb_z / den) + cost * (1.0 - vb_u / den))
-    }
+    /// Kept only because the benchmark harness's per-layer probe
+    /// (`perf/src/probe.rs`, metric `core.freeze_ms`) still calls it;
+    /// it goes once the harness drops `core.freeze_ms`.
+    #[doc(hidden)]
+    pub fn freeze(&mut self) {}
 
     /// Mirrors the rank-1 operator update on the dense shadow `T` and,
     /// every [`VERIFY_EVERY`]-th successful update, asserts the three
@@ -575,7 +482,6 @@ impl<'de> Deserialize<'de> for SparseLspi {
             skipped_singular: repr.skipped_singular,
             explored: repr.explored.into_iter().collect(), // lint: allow(alloc)
             min_entry: None,
-            frozen: None,
             scratch_u: SparseVec::zeros(repr.dim),
             scratch_v: SparseVec::zeros(repr.dim),
             scratch_bu: SparseVec::zeros(repr.dim),
@@ -816,76 +722,31 @@ mod tests {
     }
 
     #[test]
-    fn freeze_is_idempotent_and_thaw_reverses_it() {
-        let mut lspi = learned_lspi();
-        assert!(!lspi.is_frozen());
-        lspi.freeze();
-        assert!(lspi.is_frozen());
-        lspi.freeze(); // no-op
-        assert!(lspi.is_frozen());
-        lspi.thaw();
-        assert!(!lspi.is_frozen());
-        lspi.thaw(); // no-op
-        assert!(!lspi.is_frozen());
-    }
-
-    #[test]
-    fn frozen_preview_matches_dok_preview_bitwise() {
-        let dok = learned_lspi();
-        let mut csr = dok.clone();
-        csr.freeze();
-        let mut dok = dok;
-        for (a_prev, a_next, cost) in [(0usize, 1usize, 1.0), (3, 2, -0.5), (6, 6, 0.0)] {
-            let want = dok.preview_update(a_prev, a_next, cost);
-            let got = csr.preview_update(a_prev, a_next, cost);
-            // Identical summation order in both backends ⇒ identical bits.
-            assert_eq!(want, got, "preview({a_prev}, {a_next}, {cost}) diverged");
-        }
-        assert!(csr.is_frozen(), "preview must not thaw");
-    }
-
-    #[test]
-    fn preview_update_leaves_state_untouched() {
-        let mut lspi = learned_lspi();
-        lspi.freeze();
-        let before = serde_json::to_string(&lspi).unwrap();
-        let coeff = lspi.preview_update(1, 4, 3.0);
-        assert!(coeff.is_some());
-        assert_eq!(lspi.updates(), 6);
-        assert_eq!(serde_json::to_string(&lspi).unwrap(), before);
-    }
-
-    #[test]
-    fn update_thaws_transparently_and_matches_unfrozen_twin() {
+    fn freeze_stub_leaves_state_and_checkpoint_bytes_unchanged() {
+        let checkpoint_bytes = |lspi: &SparseLspi| {
+            crate::to_versioned_json(&crate::MeghCheckpoint {
+                config: crate::MeghConfig::paper_defaults(4, 2),
+                lspi: lspi.clone(),
+                temperature: 1.0,
+                steps: lspi.updates(),
+            })
+            .unwrap()
+        };
         let mut frozen = learned_lspi();
         let mut plain = learned_lspi();
         frozen.freeze();
-        assert!(frozen.update(4, 0, 1.25));
-        assert!(plain.update(4, 0, 1.25));
-        assert!(!frozen.is_frozen(), "update must drop the snapshot");
         for a in 0..8 {
-            assert_eq!(frozen.q(a), plain.q(a), "q({a}) diverged after thaw");
+            assert_eq!(frozen.q(a).to_bits(), plain.q(a).to_bits());
         }
         assert_eq!(frozen.explicit_nnz(), plain.explicit_nnz());
-    }
-
-    #[test]
-    fn frozen_state_is_not_serialized() {
-        let mut lspi = learned_lspi();
-        lspi.freeze();
-        let json = serde_json::to_string(&lspi).unwrap();
-        let back: SparseLspi = serde_json::from_str(&json).unwrap();
-        assert!(!back.is_frozen(), "snapshot is derived state");
+        assert_eq!(checkpoint_bytes(&frozen), checkpoint_bytes(&plain));
+        assert!(frozen.update(4, 0, 1.25));
+        assert!(plain.update(4, 0, 1.25));
         for a in 0..8 {
-            assert_eq!(back.q(a), lspi.q(a));
+            assert_eq!(frozen.q(a).to_bits(), plain.q(a).to_bits());
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn preview_update_rejects_bad_action() {
-        let mut lspi = SparseLspi::new(3, 3.0, 0.5);
-        let _ = lspi.preview_update(0, 3, 1.0);
+        assert_eq!(frozen.explicit_nnz(), plain.explicit_nnz());
+        assert_eq!(checkpoint_bytes(&frozen), checkpoint_bytes(&plain));
     }
 
     #[test]

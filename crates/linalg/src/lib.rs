@@ -27,7 +27,6 @@
 // No unsafe code anywhere in this crate (also enforced by `cargo run -p lint`).
 #![forbid(unsafe_code)]
 
-mod csr;
 mod dense;
 mod dok;
 mod interp;
@@ -37,7 +36,6 @@ mod sparse_vec;
 mod stats;
 mod verify;
 
-pub use csr::{CsrMatrix, SparseMatVec};
 pub use dense::DenseMatrix;
 pub use dok::DokMatrix;
 pub use interp::PiecewiseLinear;

@@ -7,18 +7,6 @@ use megh_linalg::{
 };
 use proptest::prelude::*;
 
-fn dok_strategy(dim: usize, max_entries: usize) -> impl Strategy<Value = DokMatrix> {
-    prop::collection::vec(((0..dim, 0..dim), -4.0..4.0f64), 0..max_entries).prop_map(
-        move |entries| {
-            let mut m = DokMatrix::zeros(dim);
-            for ((r, c), val) in entries {
-                m.set(r, c, val);
-            }
-            m
-        },
-    )
-}
-
 fn sparse_vec_strategy(dim: usize) -> impl Strategy<Value = SparseVec> {
     prop::collection::vec((0..dim, -5.0..5.0f64), 0..dim)
         .prop_map(move |pairs| SparseVec::from_pairs(dim, pairs))
@@ -117,67 +105,14 @@ proptest! {
         }
     }
 
-    /// The CSR freeze contract: a snapshot is not an approximation of
-    /// the DOK operator but the *same* operator — identical structure
-    /// and, because the kernels replay DOK's walk order exactly,
-    /// **bitwise** identical products in both orientations.
-    #[test]
-    fn csr_products_match_dok_bitwise(
-        m in dok_strategy(7, 24),
-        v in sparse_vec_strategy(7),
-    ) {
-        let csr = m.to_csr();
-        prop_assert!(csr.check_matches_dok(&m).is_ok());
-        let right_dok = m.mul_sparse_vec(&v);
-        let right_csr = csr.mul_sparse_vec(&v);
-        prop_assert_eq!(right_csr.to_dense(), right_dok.to_dense());
-        let left_dok = m.mul_sparse_vec_left(&v);
-        let left_csr = csr.mul_sparse_vec_left(&v);
-        prop_assert_eq!(left_csr.to_dense(), left_dok.to_dense());
-    }
-
-    /// SIMD-vs-scalar: the 4-lane unrolled nnz==1 kernels must
-    /// reproduce a scalar replay of the same multiplies bit for bit,
-    /// for arbitrary adjacency lengths (so every `len % 4` remainder is
-    /// exercised) in both product orientations.
-    #[test]
-    fn csr_unrolled_kernels_match_scalar_replay_bitwise(
-        m in dok_strategy(9, 48),
-        pivot in 0..9usize,
-        value in -1e6..1e6f64,
-    ) {
-        let csr = m.to_csr();
-        let e = SparseVec::from_pairs(9, [(pivot, value)]);
-
-        // Right product `M·e`: scalar replay over the selected column.
-        // `iter()` is row-major, so filtering by column yields rows in
-        // strictly increasing order — the same walk the kernel takes.
-        let mut want = SparseVec::zeros(9);
-        for ((r, c), w) in csr.iter() {
-            if c == pivot {
-                want.push_sorted(r, value * w);
-            }
-        }
-        prop_assert_eq!(csr.mul_sparse_vec(&e).to_dense(), want.to_dense());
-
-        // Left product `eᵀ·M`: scalar replay over the selected row.
-        let mut want = SparseVec::zeros(9);
-        for ((r, c), w) in csr.iter() {
-            if r == pivot {
-                want.push_sorted(c, value * w);
-            }
-        }
-        prop_assert_eq!(csr.mul_sparse_vec_left(&e).to_dense(), want.to_dense());
-    }
-
     /// Random interleavings of `set`, explicit removal and
     /// `add_outer_product` — including updates that cancel an entry to
     /// exactly zero — leave the compact DOK bitwise equal to a dense
     /// reference that replays the same `old + scale·uᵢ·vⱼ` arithmetic,
     /// with no empty row or column list retained. The same sequence on
     /// a matrix of order 7·2⁴⁰ (indices spread by 2⁴⁰) stores the same
-    /// entries and products, and a CSR snapshot multiplies bitwise like
-    /// the DOK.
+    /// entries and products, and both products match the dense
+    /// reference's.
     #[test]
     fn compact_dok_matches_dense_reference_under_interleaved_edits(
         ops in prop::collection::vec(
@@ -232,31 +167,18 @@ proptest! {
         }
         prop_assert_eq!(m.nnz(), nnz);
         prop_assert_eq!(big.nnz(), nnz);
-        let csr = m.to_csr();
-        prop_assert_eq!(csr.mul_sparse_vec(&probe), m.mul_sparse_vec(&probe));
-        prop_assert_eq!(csr.mul_sparse_vec_left(&probe), m.mul_sparse_vec_left(&probe));
-        // The CSR pointers are O(order), so the spread matrix is checked
-        // against the small one instead of a snapshot of its own.
+        // Both product orientations against the dense reference's.
+        let right = m.mul_sparse_vec(&probe).to_dense();
+        let left = m.mul_sparse_vec_left(&probe).to_dense();
+        for (i, (got_right, got_left)) in right.iter().zip(&left).enumerate() {
+            let want_right: f64 = (0..7).map(|j| dense[i][j] * probe.get(j)).sum();
+            let want_left: f64 = (0..7).map(|j| probe.get(j) * dense[j][i]).sum();
+            prop_assert!((got_right - want_right).abs() < 1e-9);
+            prop_assert!((got_left - want_left).abs() < 1e-9);
+        }
         let big_probe = spread(&probe);
         prop_assert_eq!(big.mul_sparse_vec(&big_probe), spread(&m.mul_sparse_vec(&probe)));
         prop_assert_eq!(big.mul_sparse_vec_left(&big_probe), spread(&m.mul_sparse_vec_left(&probe)));
-    }
-
-    /// A CSR snapshot agrees with the source matrix entry for entry and
-    /// round-trips through `iter()` in the same row-major order.
-    #[test]
-    fn csr_snapshot_preserves_every_entry(m in dok_strategy(6, 20)) {
-        let csr = m.to_csr();
-        prop_assert_eq!(csr.order(), m.order());
-        prop_assert_eq!(csr.nnz(), m.nnz());
-        for r in 0..m.order() {
-            for c in 0..m.order() {
-                prop_assert_eq!(csr.get(r, c), m.get(r, c));
-            }
-        }
-        let dok_triplets: Vec<((usize, usize), f64)> = m.iter().collect();
-        let csr_triplets: Vec<((usize, usize), f64)> = csr.iter().collect();
-        prop_assert_eq!(csr_triplets, dok_triplets);
     }
 
     #[test]

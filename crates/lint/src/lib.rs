@@ -524,15 +524,14 @@ const NONDET_TOKENS: &[&str] = &[
 ///
 /// The `alloc` rule is opt-in per file; without this list a hot-path
 /// module could silently leave the no-alloc regime by dropping its
-/// marker. These are the Sherman–Morrison product kernels (DOK and the
-/// frozen CSR snapshot), the ε-greedy policy, the agent's decide path,
+/// marker. These are the Sherman–Morrison product kernels (the DOK
+/// operator), the ε-greedy policy, the agent's decide path,
 /// the streaming trace-source layer, and the per-step simulation
 /// accounting kernels.
 pub const HOT_PATH_FILES: &[&str] = &[
     "crates/core/src/agent.rs",
     "crates/core/src/lspi.rs",
     "crates/core/src/policy.rs",
-    "crates/linalg/src/csr.rs",
     "crates/linalg/src/dok.rs",
     "crates/linalg/src/sherman.rs",
     "crates/linalg/src/sparse_vec.rs",

@@ -247,7 +247,8 @@ pub fn diff_reports(prev: &LintReport, cur: &LintReport) -> ReportDiff {
 
     // Function rows are paired by (file, qualified name, occurrence
     // ordinal): a trait-impl wrapper and an inherent method can share a
-    // qualified name within one file (`CsrMatrix::mul_sparse_vec_into`),
+    // qualified name within one file (`Matrix::order` from both an
+    // inherent impl and a trait impl),
     // and rows are (file, line)-sorted, so the k-th occurrence on each
     // side is the same function even as line numbers drift.
     let nth_match = |list: &[FnEntry], entry: &FnEntry, n: usize| -> Option<usize> {

@@ -182,6 +182,24 @@ struct Shared {
     shutdown: AtomicBool,
 }
 
+impl Shared {
+    /// Shared state serving `state` as the first published snapshot.
+    fn new(state: &MeghCheckpoint) -> Self {
+        Self {
+            snapshot: RwLock::new(Arc::new(Snapshot {
+                lspi: state.lspi.clone(),
+                steps: state.steps,
+                temperature: state.temperature,
+            })),
+            epsilon: state.config.epsilon,
+            space: ActionSpace::new(state.config.n_vms, state.config.n_hosts),
+            queued: AtomicUsize::new(0),
+            published: AtomicU64::new(1),
+            shutdown: AtomicBool::new(false),
+        }
+    }
+}
+
 enum WriterMsg {
     Update { action: usize, cost: f64 },
     Sync(Sender<usize>),
@@ -357,19 +375,7 @@ impl Server {
             }
         };
 
-        let space = ActionSpace::new(state.config.n_vms, state.config.n_hosts);
-        let shared = Arc::new(Shared {
-            snapshot: RwLock::new(Arc::new(Snapshot {
-                lspi: state.lspi.clone(),
-                steps: state.steps,
-                temperature: state.temperature,
-            })),
-            epsilon: state.config.epsilon,
-            space,
-            queued: AtomicUsize::new(0),
-            published: AtomicU64::new(1),
-            shutdown: AtomicBool::new(false),
-        });
+        let shared = Arc::new(Shared::new(&state));
 
         let writer_state = Writer {
             policy: BoltzmannPolicy::with_temperature(state.temperature, state.config.epsilon),
@@ -525,21 +531,26 @@ fn serve_lines<R: BufRead, W: Write>(
             Ok(0) | Err(_) => break,
             Ok(_) => {}
         }
+        // An oversized or undecodable line gets one error, then the
+        // connection closes: the peer is not speaking the protocol.
         let oversized = buf.len() == MAX_REQUEST_BYTES && buf.last() != Some(&b'\n');
-        let response = if oversized {
-            error(format!(
-                "request line exceeds {MAX_REQUEST_BYTES} bytes; closing connection"
-            ))
-        } else {
-            let Ok(line) = std::str::from_utf8(&buf) else {
-                break;
-            };
+        let (response, stop) = if oversized {
+            let message =
+                format!("request line exceeds {MAX_REQUEST_BYTES} bytes; closing connection");
+            (error(message), true)
+        } else if let Ok(line) = std::str::from_utf8(&buf) {
             if line.trim().is_empty() {
                 continue;
             }
-            respond(line, shared, tx)
+            let response = respond(line, shared, tx);
+            let bye = matches!(response, Response::Bye);
+            (response, bye)
+        } else {
+            (
+                error("request line is not valid UTF-8; closing connection"),
+                true,
+            )
         };
-        let stop = oversized || matches!(response, Response::Bye);
         let json = serde_json::to_string(&response)
             .unwrap_or_else(|_| r#"{"ok":false,"error":"response serialization failed"}"#.into());
         if writeln!(out, "{json}").is_err() {
@@ -645,6 +656,156 @@ fn respond(line: &str, shared: &Shared, tx: &Sender<WriterMsg>) -> Response {
             }
             shared.shutdown.store(true, Ordering::SeqCst);
             Response::Bye
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Runs `serve_lines` over `input` against a fresh 4 VM × 2 host
+    /// state whose writer has stopped (so learning requests get an
+    /// error answer instead of blocking), returning the response lines.
+    fn serve_bytes(input: &[u8]) -> Vec<String> {
+        let config = MeghConfig::paper_defaults(4, 2);
+        let state = MeghCheckpoint {
+            lspi: SparseLspi::new(8, config.delta, config.gamma),
+            temperature: config.temp0,
+            steps: 0,
+            config,
+        };
+        let shared = Shared::new(&state);
+        let (tx, rx) = mpsc::channel();
+        drop(rx);
+        let mut out = Vec::new();
+        serve_lines(input, &mut out, &shared, &tx);
+        let text = String::from_utf8(out).expect("responses are UTF-8");
+        assert!(text.is_empty() || text.ends_with('\n'), "{text:?}");
+        text.lines().map(str::to_string).collect()
+    }
+
+    /// What `serve_lines` must answer for `input`: one entry per
+    /// non-blank line it consumes, `true` where the answer must be an
+    /// `Error` that closes the connection.
+    fn expected_answers(mut input: &[u8]) -> Vec<bool> {
+        let mut answers = Vec::new();
+        while !input.is_empty() {
+            let window = &input[..input.len().min(MAX_REQUEST_BYTES)];
+            let len = window
+                .iter()
+                .position(|&b| b == b'\n')
+                .map_or(window.len(), |i| i + 1);
+            let (line, rest) = input.split_at(len);
+            input = rest;
+            if len == MAX_REQUEST_BYTES && line.last() != Some(&b'\n') {
+                answers.push(true);
+                break;
+            }
+            match std::str::from_utf8(line) {
+                Err(_) => {
+                    answers.push(true);
+                    break;
+                }
+                Ok(text) if text.trim().is_empty() => {}
+                Ok(text) => {
+                    answers.push(false);
+                    if matches!(serde_json::from_str(text), Ok(Request::Shutdown)) {
+                        break;
+                    }
+                }
+            }
+        }
+        answers
+    }
+
+    const SHAPED: &[&str] = &[
+        r#"{"op":"decide","seed":7}"#,
+        r#"{"op":"stats"}"#,
+        r#"{"op":"sync"}"#,
+        r#"{"op":"checkpoint"}"#,
+        r#"{"op":"observe","action":3,"cost":0.5}"#,
+        r#"{"op":"shutdown"}"#,
+        r#"{"op":"decide","seed":-1}"#,
+        r#"{"op":"decide","seed":1.5}"#,
+        r#"{"op":"observe","action":99,"cost":1}"#,
+        r#"{"op":"observe","action":"x"}"#,
+        r#"{"op":5}"#,
+        r#"{"op":"bogus"}"#,
+        r#"{"seed":7}"#,
+        "[]",
+        "null",
+        "\"decide\"",
+        "{",
+        "\u{0}",
+        "   ",
+    ];
+
+    /// One request line of a given kind: random bytes, a dense mix of
+    /// NULs and invalid UTF-8 lead bytes, a line at or just over
+    /// [`MAX_REQUEST_BYTES`], or JSON of the right or wrong shape.
+    fn line((kind, bytes, offset, pick): (usize, Vec<u8>, usize, usize)) -> Vec<u8> {
+        match kind {
+            0 => bytes,
+            1 => bytes
+                .iter()
+                .map(|b| [0x00, 0xff, 0xc3, 0x80, b' ', b'{'][usize::from(*b) % 6])
+                .collect(),
+            2 => vec![b'x'; MAX_REQUEST_BYTES - 2 + offset],
+            _ => SHAPED[pick % SHAPED.len()].as_bytes().to_vec(),
+        }
+    }
+
+    #[test]
+    fn invalid_utf8_line_gets_one_error_then_closes() {
+        let responses = serve_bytes(b"\xff\xfe\n{\"op\":\"stats\"}\n");
+        assert_eq!(responses.len(), 1, "{responses:?}");
+        let response: Response = serde_json::from_str(&responses[0]).unwrap();
+        assert!(
+            matches!(&response, Response::Error { message } if message.contains("UTF-8")),
+            "{response:?}"
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Arbitrary bytes never panic or wedge the handler, and every
+        /// non-blank line it consumes gets exactly one parseable
+        /// response before the connection closes.
+        #[test]
+        fn serve_lines_answers_every_consumed_line_once(
+            lines in prop::collection::vec(
+                (0..5usize, prop::collection::vec(0..=255u8, 0..48), 0..4usize, 0..64usize),
+                0..8,
+            ),
+            terminated in 0..2usize,
+        ) {
+            let mut input = Vec::new();
+            for (i, spec) in lines.into_iter().enumerate() {
+                if i > 0 {
+                    input.push(b'\n');
+                }
+                input.extend(line(spec));
+            }
+            if terminated == 1 {
+                input.push(b'\n');
+            }
+            let want = expected_answers(&input);
+            let got = serve_bytes(&input);
+            prop_assert_eq!(got.len(), want.len(), "input {:?} got {:?}", input, got);
+            for (text, closes) in got.iter().zip(want) {
+                let response: Result<Response, _> = serde_json::from_str(text);
+                prop_assert!(response.is_ok(), "unparseable response {:?}", text);
+                if closes {
+                    prop_assert!(
+                        matches!(response, Ok(Response::Error { .. })),
+                        "closing answer must be an error: {:?}",
+                        text
+                    );
+                }
+            }
         }
     }
 }

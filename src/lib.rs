@@ -15,7 +15,7 @@
 //! * [`baselines`] — the comparators: the MMT heuristic family
 //!   (THR/IQR/MAD/LR/LRR), MadVM, and tabular Q-learning.
 //! * [`serve`] — the crash-safe decision daemon behind `megh serve`:
-//!   lock-free frozen-snapshot reads, a single batching writer, and
+//!   lock-free immutable-snapshot reads, a single batching writer, and
 //!   versioned checkpoints.
 //! * [`linalg`] — the sparse linear-algebra substrate.
 //!
